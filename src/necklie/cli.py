@@ -10,6 +10,7 @@ invocation itself was bad.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .bialgebra import bracket, check_bialgebra_axioms, cobracket
@@ -405,10 +406,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first request and reused by later ones."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,5 +1,14 @@
 """Exact sparse rational linear algebra over enumerated truncation bases.
 
+Tensor slices are generated directly in canonical form.  The word list
+``canonical_words`` is sorted by (length, word), which is exactly the key
+``normalize_tensor`` Koszul-sorts factors by, so every multiset drawn from
+it in order is already canonical with sign +1.  Such a draw is zero only
+when two equal odd words sit next to each other or when nu is odd and its
+exponent is at least 2; nothing else is normalized.  The filtration order
+2g + n + k - 1 is known before any word is drawn, so an order cut picks
+the factor count instead of filtering the whole profile.
+
 Elimination is fraction-free in the Bareiss style: each step applies the
 two-term update (a_ij * p - a_ik * a_kj) / p_prev whose division is exact,
 with the pivot chosen by a minimal-fill (Markowitz) heuristic over the
@@ -13,8 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .cecomplex import (TruncationProfile, definition_order, filtration_order,
-                        normalize_tensor, tensor_parity)
+from .cecomplex import TruncationProfile, definition_order, tensor_parity
 from .errors import IntegrityError, SliceRangeError, UsageError
 from .space import SymplecticSpace
 from .words import canonical_words
@@ -89,33 +97,51 @@ def _tensor_in_variant(variant, key) -> bool:
     return True
 
 
+def _factor_counts(prof: TruncationProfile, g: int, n: int, order):
+    """Factor counts k with 2g + n + k - 1 within P (and equal to order)."""
+    top = min(prof.K, prof.P + 1 - 2 * g - n)
+    if order is None:
+        return range(1, top + 1)
+    k = order + 1 - 2 * g - n
+    return (k,) if 1 <= k <= top else ()
+
+
 def enumerate_basis(space: SymplecticSpace, constraints) -> BasisSlice:
-    """Complete deterministic enumeration of a constrained slice."""
+    """Complete deterministic enumeration of a constrained slice.
+
+    Word slices are ``canonical_words``.  Tensor slices run over the gamma
+    exponent g, then the nu exponent n, then the factor count k, then the
+    multisets of k words in ``combinations_with_replacement`` order.  The
+    words come from ``canonical_words(space, L)``, whose (length, word)
+    order is ``normalize_tensor``'s sort key, so each drawn multiset is a
+    canonical key with sign +1 and needs no normalizing.  The only zero
+    draws are two equal odd words next to each other and n >= 2 when nu
+    is odd; both are skipped.  The variant and parity cuts follow.
+    """
     if isinstance(constraints, WordSliceSpec):
         words = canonical_words(space, constraints.max_length,
                                 constraints.min_length, constraints.parity)
         return BasisSlice(space, "word", tuple(words))
     if isinstance(constraints, TensorSliceSpec):
         prof = constraints.profile
+        variant, parity = constraints.variant, constraints.parity
         words = canonical_words(space, prof.L)
+        odd = [space.word_parity(w) == 1 for w in words]
+        n_top = min(prof.N, 1) if space.nu_parity == 1 else prof.N
         out = []
         for g in range(prof.G + 1):
-            for n in range(prof.N + 1):
-                for k in range(1, prof.K + 1):
-                    for combo in combinations_with_replacement(words, k):
-                        nm = normalize_tensor(space, g, n, combo)
-                        if nm is None:
+            for n in range(n_top + 1):
+                for k in _factor_counts(prof, g, n, constraints.order):
+                    for combo in combinations_with_replacement(
+                            range(len(words)), k):
+                        if any(a == b and odd[a]
+                               for a, b in zip(combo, combo[1:])):
                             continue
-                        key = tuple(nm[0])
-                        if filtration_order(key) > prof.P:
+                        key = (g, n, tuple(words[i] for i in combo))
+                        if not _tensor_in_variant(variant, key):
                             continue
-                        if not _tensor_in_variant(constraints.variant, key):
-                            continue
-                        if (constraints.order is not None
-                                and filtration_order(key) != constraints.order):
-                            continue
-                        if (constraints.parity is not None
-                                and tensor_parity(space, key) != constraints.parity):
+                        if (parity is not None
+                                and tensor_parity(space, key) != parity):
                             continue
                         out.append(key)
         return BasisSlice(space, "tensor", tuple(out))

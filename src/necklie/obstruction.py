@@ -61,7 +61,7 @@ def embed_hamiltonian(h: Hamiltonian, variant: str,
 class MCState:
     """Partial solution h_0 + ... + h_n with residual vanishing to order n."""
 
-    __slots__ = ("space", "variant", "profile", "components")
+    __slots__ = ("space", "variant", "profile", "components", "_residual")
 
     def __init__(self, components):
         components = tuple(components)
@@ -91,7 +91,7 @@ class MCState:
                      max_length=None)
         if not sq.is_zero():
             raise UsageError("the base hamiltonian does not square to zero")
-        res = self.residual()
+        res = self._residual = mc_residual(MCCandidate(self.value()))
         low = res.min_filtration_order()
         if low is not None and low <= self.level:
             raise UsageError(
@@ -109,7 +109,8 @@ class MCState:
         return out
 
     def residual(self) -> LambdaElement:
-        return mc_residual(MCCandidate(self.value()))
+        """The residual of the whole value, computed once when validating."""
+        return self._residual
 
     def base_hamiltonian(self) -> Hamiltonian:
         return Hamiltonian(

@@ -4,7 +4,9 @@ Everything here recomputes results from first principles with deliberately
 different bookkeeping than the package: rotation and extraction signs are
 accumulated one adjacent transposition at a time, linear words are merged
 only at the very end, and the dense solver is plain Gaussian elimination.
-Nothing imports from necklie.
+Nothing imports from necklie except the brute-force slice enumeration,
+which pins the package's direct generation of tensor slices to the
+normalize-everything route it replaced, element by element and in order.
 """
 
 from fractions import Fraction
@@ -229,3 +231,53 @@ def vec_mat(vec, rows):
         for j, v in enumerate(row):
             out[j] += Fraction(y) * Fraction(v)
     return out
+
+
+# ---------------------------------------------------------------------------
+# tensor slices by brute force: normalize every multiset, then cut
+
+
+def brute_force_tensor_slice(space, profile, variant=None, parity=None,
+                             order=None):
+    """Keys (g, n, words) of a tensor slice, in enumeration order.
+
+    Every multiset of canonical words of length <= L, with every gamma
+    and nu exponent and factor count in the profile, is normalized;
+    zeros are dropped and the filtration, variant, order and parity cuts
+    applied to what is left.
+    """
+    from itertools import combinations_with_replacement
+
+    from necklie.cecomplex import normalize_tensor
+    from necklie.words import canonical_words
+
+    words = canonical_words(space, profile.L)
+    out = []
+    for g in range(profile.G + 1):
+        for n in range(profile.N + 1):
+            for k in range(1, profile.K + 1):
+                for combo in combinations_with_replacement(words, k):
+                    nm = normalize_tensor(space, g, n, combo)
+                    if nm is None:
+                        continue
+                    key = tuple(nm[0])
+                    ws = key[2]
+                    filt = 2 * g + n + len(ws) - 1
+                    if filt > profile.P:
+                        continue
+                    if variant is not None:
+                        if g + n + sum(len(w) for w in ws) < 2:
+                            continue
+                        if variant == "lg" and n > 0:
+                            continue
+                        if variant == "hq2" and (g or n or len(ws) != 1
+                                                 or len(ws[0]) < 2):
+                            continue
+                    if order is not None and filt != order:
+                        continue
+                    par = (sum(space.parities[x] for w in ws for x in w)
+                           + n * space.nu_parity) & 1
+                    if parity is not None and par != parity:
+                        continue
+                    out.append(key)
+    return tuple(out)

@@ -152,3 +152,25 @@ def test_json_seed_changes_sampling_not_result(capsys):
     assert a[0] == b[0] == 0
     assert json.loads(a[1])["seed"] == 1
     assert json.loads(b[1])["seed"] == 2
+
+
+def test_consecutive_requests_share_no_state(capsys):
+    """One process serves request after request through one parser:
+    a bad request, a repeat and a dropped flag leave nothing behind."""
+    assert run(capsys, "lift", "1 w[t,t,t]", "--order", "x")[0] == 2
+    code, out, _ = run(capsys, "bracket", "1 w[x,x]", "1 w[xi]",
+                       "--space", SPACE_2D)
+    assert code == 0 and out.strip() == "2 * w[x]"
+
+    argv = ("lift", "1 w[t,t,t]", "--order", "2", "--variant", "lg",
+            "--format", "json")
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first[0] == second[0] == 0
+    assert first[1] == second[1]
+
+    axioms = ("axioms", "--max-length", "2", "--samples", "3",
+              "--format", "json")
+    code, out, _ = run(capsys, *axioms, "--seed", "5")
+    assert code == 0 and json.loads(out)["seed"] == 5
+    code, out, _ = run(capsys, *axioms)
+    assert code == 0 and json.loads(out)["seed"] == 2718

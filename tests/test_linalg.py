@@ -9,7 +9,7 @@ from necklie.cecomplex import filtration_order, normalize_tensor, tensor_parity
 from necklie.linalg import (BasisSlice, IntegrityError, SparseRationalMatrix,
                             TensorSliceSpec, WordSliceSpec, homology_dims)
 from necklie.words import Hamiltonian, canonical_words
-from oracles import dense_solve, mat_vec, vec_mat
+from oracles import brute_force_tensor_slice, dense_solve, mat_vec, vec_mat
 
 F = Fraction
 
@@ -193,3 +193,27 @@ def test_basis_slice_is_deterministic(sp2):
     b = enumerate_basis(sp2, spec)
     assert a.elements == b.elements
     assert isinstance(a, BasisSlice)
+
+
+@pytest.mark.parametrize("space_name, profile", [
+    # P binds below 2G + N + K - 1; N = 2 meets the odd nu of the 1d space
+    ("sp1", TruncationProfile(L=5, K=3, G=1, N=2, P=2)),
+    ("sp1", TruncationProfile(L=4, K=3, G=2, N=2)),
+    ("sp2", TruncationProfile(L=3, K=3, G=1, N=2, P=3)),
+    ("sp2", TruncationProfile(L=4, K=2, G=1, N=1)),
+])
+def test_tensor_slices_match_brute_force(request, space_name, profile):
+    """Direct generation returns the brute-force slice exactly, order
+    included, across variants, parity cuts and order cuts."""
+    space = request.getfixturevalue(space_name)
+    checked = 0
+    for variant in (None, "lgv", "lg", "hq2"):
+        for parity in (None, 0, 1):
+            for order in (None, *range(profile.P + 2)):
+                got = enumerate_basis(space, TensorSliceSpec(
+                    profile, variant, parity, order)).elements
+                want = brute_force_tensor_slice(space, profile, variant,
+                                                parity, order)
+                assert got == want, (variant, parity, order)
+                checked += bool(want)
+    assert checked > 0

@@ -9,7 +9,7 @@ from necklie import (Hamiltonian, LambdaElement, PreconditionError,
 from necklie.cecomplex import raw_bracket
 from necklie.linalg import (TensorSliceSpec, WordSliceSpec, enumerate_basis,
                             matrix_of_operator)
-from necklie.mc import candidate_parity
+from necklie.mc import MCCandidate, candidate_parity, mc_residual
 from necklie.obstruction import (MCState, default_lift_profile,
                                  embed_hamiltonian, extend_step,
                                  extension_space, hochschild_differential,
@@ -108,6 +108,18 @@ def test_obstruction_dichotomy(sp1, t3):
     assert lifted.succeeded and lifted.state.level == 3
     assert lifted.state.residual().is_zero()
     assert lifted.report is None and lifted.failure_level is None
+
+
+def test_state_residual_is_the_residual_of_its_value(sp1, t3):
+    """The residual kept from validation is the residual of the whole
+    value, for a lifted state and for a non-flat base state."""
+    h = t3 + Hamiltonian(sp1, {(0, 0, 0, 0, 0): F(2, 3)})
+    lifted = lift(h, 2, "lg").state
+    blocked = lift(t3, 0, "lgv").state
+    assert lifted.level == 2 and blocked.level == 0
+    for state in (lifted, blocked):
+        assert state.residual() == mc_residual(MCCandidate(state.value()))
+    assert blocked.residual().terms == {(0, 1, ((0,),)): F(3)}
 
 
 def test_no_solution_certificate_checks_out(sp1, t3):
