@@ -8,10 +8,9 @@ the flatness, gauge, lifting, and verification machinery on top.
 
 from .bialgebra import (AxiomReport, CobracketValue, bracket,
                         check_bialgebra_axioms, cobracket)
-from .cecomplex import (CETensor, LambdaElement, TruncationProfile, ce_delta,
-                        coproduct, extend_cobracket, lambda_bracket,
-                        lambda_differential, normalize_tensor, project,
-                        unbounded_profile)
+from .cecomplex import (LambdaElement, TruncationProfile, ce_delta, coproduct,
+                        extend_cobracket, lambda_bracket, lambda_differential,
+                        normalize_tensor, project, unbounded_profile)
 from .chains import (CEChainElement, chain_coproduct, chain_delta, chain_mul,
                      chain_unit, embed_element)
 from .errors import (IntegrityError, NecklieError, PreconditionError,
@@ -37,7 +36,7 @@ from .space import SymplecticSpace, one_dim_space, two_dim_space
 from .words import Hamiltonian, canonical_words, normalize_word
 
 __all__ = [
-    "AxiomReport", "BasisSlice", "CEChainElement", "CETensor",
+    "AxiomReport", "BasisSlice", "CEChainElement",
     "CobracketValue", "ExpressionError", "ExtensionSpace", "Hamiltonian",
     "HochschildReport", "HomologyResult", "HomotopyReport", "IntegrityError",
     "KunnethReport", "LambdaElement", "LiftOutcome", "MCCandidate", "MCState",

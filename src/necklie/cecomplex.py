@@ -21,13 +21,17 @@ The differential is d = gamma * delta + Delta:
 Setting nu = 0 yields the gamma-only variant; single words of length
 >= 2 with the zero differential form the third variant.  Elements are
 truncated against a TruncationProfile; all arithmetic is exact.
+
+This module owns the graded-symmetric rules that the chain level
+(``chains``) reuses with blocks in place of words: the Koszul sort that
+kills a repeated odd factor, the signed unshuffle, and the truncated
+combination class both element kinds derive from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .bialgebra import bracket_raw, cobracket_raw
 from .errors import UsageError
@@ -35,20 +39,6 @@ from .space import SymplecticSpace
 from .words import accumulate, normalize_word
 
 VARIANTS = ("lgv", "lg", "hq2")
-
-
-class CETensor(NamedTuple):
-    g: int
-    n: int
-    factors: tuple
-
-    @property
-    def definition_order(self) -> int:
-        return self.g + self.n + sum(len(w) for w in self.factors)
-
-    @property
-    def filtration_order(self) -> int:
-        return 2 * self.g + self.n + len(self.factors) - 1
 
 
 def definition_order(key) -> int:
@@ -61,11 +51,6 @@ def filtration_order(key) -> int:
     return 2 * g + n + len(ws) - 1
 
 
-def orders(t) -> tuple:
-    """(definitionOrder, filtrationOrder) of a tensor key."""
-    return definition_order(t), filtration_order(t)
-
-
 def tensor_parity(space: SymplecticSpace, key) -> int:
     g, n, ws = key
     return (sum(space.word_parity(w) for w in ws) + n * space.nu_parity) & 1
@@ -75,8 +60,29 @@ def _word_key(w):
     return (len(w), w)
 
 
+def koszul_sort(factors, key, parity):
+    """Sort factors by key with the Koszul sign of the permutation.
+
+    Returns (sorted tuple, sign), or None when an odd factor repeats.
+    Equal keys never swap, so keys must tell distinct factors apart.
+    """
+    fs = list(factors)
+    sign = 1
+    for a in range(1, len(fs)):
+        b = a
+        while b > 0 and key(fs[b - 1]) > key(fs[b]):
+            if parity(fs[b - 1]) and parity(fs[b]):
+                sign = -sign
+            fs[b - 1], fs[b] = fs[b], fs[b - 1]
+            b -= 1
+    for a in range(1, len(fs)):
+        if fs[a] == fs[a - 1] and parity(fs[a]):
+            return None
+    return tuple(fs), sign
+
+
 def normalize_tensor(space: SymplecticSpace, g: int, n: int, words):
-    """Canonical Koszul-sorted tensor with sign, or None when zero.
+    """Canonical Koszul-sorted key (g, n, words) with sign, or None when zero.
 
     Each word is canonicalized first; a zero word, a repeated odd factor,
     or nu^2 with odd nu all make the whole tensor zero.
@@ -93,17 +99,10 @@ def normalize_tensor(space: SymplecticSpace, g: int, n: int, words):
             return None
         ws.append(nm[0])
         sign *= nm[1]
-    for a in range(1, len(ws)):
-        b = a
-        while b > 0 and _word_key(ws[b - 1]) > _word_key(ws[b]):
-            if space.word_parity(ws[b - 1]) and space.word_parity(ws[b]):
-                sign = -sign
-            ws[b - 1], ws[b] = ws[b], ws[b - 1]
-            b -= 1
-    for a in range(1, len(ws)):
-        if ws[a] == ws[a - 1] and space.word_parity(ws[a]):
-            return None
-    return CETensor(g, n, tuple(ws)), sign
+    srt = koszul_sort(ws, _word_key, space.word_parity)
+    if srt is None:
+        return None
+    return (g, n, srt[0]), sign * srt[1]
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +127,7 @@ def raw_ce_delta(space: SymplecticSpace, terms: dict) -> dict:
                     nm = normalize_tensor(space, g, n, (u,) + rest)
                     if nm is None:
                         continue
-                    accumulate(out, tuple(nm[0]), c0 * s * cu * nm[1])
+                    accumulate(out, nm[0], c0 * s * cu * nm[1])
     return out
 
 
@@ -160,7 +159,7 @@ def raw_extend_cobracket(space: SymplecticSpace, terms: dict) -> dict:
                 nm = normalize_tensor(space, g, n + nu_new, words)
                 if nm is None:
                     continue
-                accumulate(out, tuple(nm[0]), c0 * cc * s * nm[1])
+                accumulate(out, nm[0], c0 * cc * s * nm[1])
     return out
 
 
@@ -207,16 +206,17 @@ def raw_bracket(space: SymplecticSpace, x: dict, y: dict) -> dict:
                                               (u,) + rest)
                         if nm is None:
                             continue
-                        accumulate(out, tuple(nm[0]), c0 * s * cu * nm[1])
+                        accumulate(out, nm[0], c0 * s * cu * nm[1])
     return out
 
 
-def raw_coproduct(space: SymplecticSpace, terms: dict) -> dict:
-    """Unshuffle factors into ordered pairs; the gamma/nu prefix rides left."""
+def unshuffle(terms: dict, parity) -> dict:
+    """Unshuffle the factors of (g, n, factors) keys into ordered pairs of
+    keys with Koszul signs by factor parity; the g/n prefix rides left."""
     out: dict = {}
-    for (g, n, ws), c in terms.items():
-        pars = [space.word_parity(w) for w in ws]
-        k = len(ws)
+    for (g, n, fs), c in terms.items():
+        pars = [parity(f) for f in fs]
+        k = len(fs)
         for mask in range(1 << k):
             sign = 1
             for j in range(k):
@@ -225,10 +225,15 @@ def raw_coproduct(space: SymplecticSpace, terms: dict) -> dict:
                 for i in range(j):
                     if not (mask >> i) & 1:
                         sign *= (-1) ** (pars[i] * pars[j])
-            wl = tuple(ws[j] for j in range(k) if (mask >> j) & 1)
-            wr = tuple(ws[j] for j in range(k) if not (mask >> j) & 1)
-            accumulate(out, ((g, n, wl), (0, 0, wr)), c * sign)
+            left = tuple(fs[j] for j in range(k) if (mask >> j) & 1)
+            right = tuple(fs[j] for j in range(k) if not (mask >> j) & 1)
+            accumulate(out, ((g, n, left), (0, 0, right)), c * sign)
     return out
+
+
+def raw_coproduct(space: SymplecticSpace, terms: dict) -> dict:
+    """Unshuffle of tensor factors; words carry their own parity."""
+    return unshuffle(terms, space.word_parity)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +278,8 @@ def unbounded_profile() -> TruncationProfile:
     return TruncationProfile(L=big, K=big, G=big, N=big, P=big)
 
 
-def _variant_admits(variant: str, key, space) -> str | None:
-    """None if the key belongs to the variant, else a complaint string."""
+def variant_complaint(variant: str, key) -> str | None:
+    """None if the tensor key belongs to the variant, else a complaint."""
     g, n, ws = key
     if len(ws) < 1:
         return "needs at least one word factor"
@@ -288,8 +293,19 @@ def _variant_admits(variant: str, key, space) -> str | None:
     return None
 
 
-class LambdaElement:
-    """Truncated rational combination of canonical tensors in one variant."""
+def variant_cut(variant: str, terms: dict) -> dict:
+    """Drop the nu-terms an operation produced when they leave the
+    gamma-only variant; the other variants keep every term."""
+    if variant != "lg":
+        return terms
+    return {k: c for k, c in terms.items() if k[1] == 0}
+
+
+class TruncatedCombination:
+    """Truncated rational combination of canonical (g, n, factors) keys in
+    one variant.  A subclass says how a key is normalized (_normalize),
+    which keys raise (_complaint) and which keys its profile keeps
+    (_keeps); terms outside the profile are dropped silently."""
 
     __slots__ = ("space", "variant", "profile", "terms")
 
@@ -309,57 +325,76 @@ class LambdaElement:
             if already_canonical:
                 canon, sign = key, 1
             else:
-                nm = normalize_tensor(space, *key)
+                nm = self._normalize(*key)
                 if nm is None:
                     continue
-                canon, sign = tuple(nm[0]), nm[1]
-            complaint = _variant_admits(variant, canon, space)
+                canon, sign = nm
+            complaint = self._complaint(canon)
             if complaint is not None:
-                raise UsageError(f"tensor {canon} rejected: {complaint}")
-            if not profile.admits(canon):
+                raise UsageError(f"term {canon} rejected: {complaint}")
+            if not self._keeps(canon):
                 continue
             accumulate(clean, canon, coeff * sign)
         self.terms = clean
 
-    # -- construction helpers -------------------------------------------
-
-    @classmethod
-    def zero(cls, space, variant, profile) -> "LambdaElement":
-        return cls(space, variant, profile, {})
-
-    def replace_terms(self, terms: dict,
-                      already_canonical: bool = True) -> "LambdaElement":
-        return LambdaElement(self.space, self.variant, self.profile, terms,
-                             already_canonical=already_canonical)
-
-    # -- basic algebra ---------------------------------------------------
+    def replace_terms(self, terms: dict):
+        return type(self)(self.space, self.variant, self.profile, terms,
+                          already_canonical=True)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, LambdaElement)
+        return (type(other) is type(self)
                 and self.space == other.space
                 and self.variant == other.variant
                 and self.terms == other.terms)
 
-    def __add__(self, other: "LambdaElement") -> "LambdaElement":
+    def __add__(self, other):
         self._check_compatible(other)
         merged = dict(self.terms)
         for k, c in other.terms.items():
             accumulate(merged, k, c)
         return self.replace_terms(merged)
 
-    def __sub__(self, other: "LambdaElement") -> "LambdaElement":
+    def __sub__(self, other):
         self._check_compatible(other)
         merged = dict(self.terms)
         for k, c in other.terms.items():
             accumulate(merged, k, -c)
         return self.replace_terms(merged)
 
-    def scale(self, c) -> "LambdaElement":
+    def scale(self, c):
         c = Fraction(c)
         return self.replace_terms({k: v * c for k, v in self.terms.items()})
+
+    def _check_compatible(self, other) -> None:
+        if type(other) is not type(self):
+            raise UsageError(f"expected a {type(self).__name__}")
+        if self.space != other.space:
+            raise UsageError("elements live over different spaces")
+        if self.variant != other.variant:
+            raise UsageError(
+                f"variant mismatch: {self.variant} vs {other.variant}")
+
+    def __repr__(self):
+        return (f"{type(self).__name__}({self.variant}, "
+                f"{sorted(self.terms.items())!r})")
+
+
+class LambdaElement(TruncatedCombination):
+    """Truncated rational combination of canonical tensors in one variant."""
+
+    __slots__ = ()
+
+    def _normalize(self, g, n, words):
+        return normalize_tensor(self.space, g, n, words)
+
+    def _complaint(self, key):
+        return variant_complaint(self.variant, key)
+
+    def _keeps(self, key) -> bool:
+        return self.profile.admits(key)
 
     def parity(self):
         pars = {tensor_parity(self.space, k) for k in self.terms}
@@ -371,22 +406,6 @@ class LambdaElement:
     def component_of_order(self, p: int) -> "LambdaElement":
         return self.replace_terms({k: c for k, c in self.terms.items()
                                    if filtration_order(k) == p})
-
-    def tensors(self):
-        return [CETensor(*k) for k in sorted(self.terms)]
-
-    def _check_compatible(self, other) -> None:
-        if not isinstance(other, LambdaElement):
-            raise UsageError("expected a deformation-complex element")
-        if self.space != other.space:
-            raise UsageError("elements live over different spaces")
-        if self.variant != other.variant:
-            raise UsageError(
-                f"variant mismatch: {self.variant} vs {other.variant}")
-
-    def __repr__(self):
-        return (f"LambdaElement({self.variant}, "
-                f"{sorted(self.terms.items())!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +422,8 @@ def extend_cobracket(x: LambdaElement) -> LambdaElement:
     if x.variant == "hq2":
         raise UsageError("the cobracket extension lands outside the "
                          "single-word variant; embed into lgv first")
-    if x.variant == "lg":
-        # nu-producing branches leave the variant; keep the nu-free part
-        out = {k: c for k, c in raw_extend_cobracket(x.space, x.terms).items()
-               if k[1] == 0}
-        return x.replace_terms(out)
-    return x.replace_terms(raw_extend_cobracket(x.space, x.terms))
+    return x.replace_terms(
+        variant_cut(x.variant, raw_extend_cobracket(x.space, x.terms)))
 
 
 def lambda_differential(x: LambdaElement) -> LambdaElement:
@@ -423,10 +438,8 @@ def lambda_differential(x: LambdaElement) -> LambdaElement:
 def lambda_bracket(x: LambdaElement, y: LambdaElement) -> LambdaElement:
     """Leibniz bi-extension of the word bracket."""
     x._check_compatible(y)
-    out = raw_bracket(x.space, x.terms, y.terms)
-    if x.variant == "lg":
-        out = {k: c for k, c in out.items() if k[1] == 0}
-    return x.replace_terms(out)
+    return x.replace_terms(
+        variant_cut(x.variant, raw_bracket(x.space, x.terms, y.terms)))
 
 
 _PROJECTIONS = {("lgv", "lg"), ("lgv", "hq2"), ("lg", "hq2"),

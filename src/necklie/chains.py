@@ -4,7 +4,9 @@ A chain term is gamma^G nu^N (B_1 v ... v B_r) where each block B_i is a
 Koszul-sorted multiset of cyclic words (the word part of a complex tensor;
 the gamma/nu prefixes of all blocks are pooled into G and N).  Blocks are
 sorted at the outer level with Koszul signs by block parity; a repeated
-odd block vanishes, as does nu^2 when nu is odd.
+odd block vanishes, as does nu^2 when nu is odd.  The sort, the signed
+unshuffle and the combination arithmetic are ``cecomplex``'s, which owns
+the Koszul rule; here they run on blocks instead of words.
 
 The outer differential applies d to one block, or contracts two blocks
 through the tensor bracket into one, with the same front-loading sign
@@ -17,8 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cecomplex import (LambdaElement, TruncationProfile, VARIANTS,
-                        normalize_tensor, raw_bracket, raw_differential)
+from .cecomplex import (LambdaElement, TruncatedCombination,
+                        TruncationProfile, koszul_sort, normalize_tensor,
+                        raw_bracket, raw_differential, unshuffle)
 from .errors import UsageError
 from .space import SymplecticSpace
 from .words import accumulate
@@ -56,106 +59,37 @@ def chain_normalize(space: SymplecticSpace, G: int, N: int, blocks):
         nm = normalize_tensor(space, 0, 0, block)
         if nm is None:
             return None
-        bs.append(nm[0].factors)
+        bs.append(nm[0][2])
         sign *= nm[1]
-    for a in range(1, len(bs)):
-        i = a
-        while i > 0 and _block_key(bs[i - 1]) > _block_key(bs[i]):
-            if block_parity(space, bs[i - 1]) and block_parity(space, bs[i]):
-                sign = -sign
-            bs[i - 1], bs[i] = bs[i], bs[i - 1]
-            i -= 1
-    for a in range(1, len(bs)):
-        if bs[a] == bs[a - 1] and block_parity(space, bs[a]):
-            return None
-    return (G, N, tuple(bs)), sign
+    srt = koszul_sort(bs, _block_key, lambda b: block_parity(space, b))
+    if srt is None:
+        return None
+    return (G, N, srt[0]), sign * srt[1]
 
 
-class CEChainElement:
+class CEChainElement(TruncatedCombination):
     """Truncated rational combination of canonical chain terms."""
 
-    __slots__ = ("space", "variant", "profile", "terms")
+    __slots__ = ()
 
-    def __init__(self, space: SymplecticSpace, variant: str,
-                 profile: TruncationProfile, terms: dict | None = None,
-                 already_canonical: bool = False):
-        if variant not in VARIANTS:
-            raise UsageError(f"unknown variant {variant!r}")
-        self.space = space
-        self.variant = variant
-        self.profile = profile
-        clean: dict = {}
-        for key, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            if already_canonical:
-                canon, sign = key, 1
-            else:
-                nm = chain_normalize(space, *key)
-                if nm is None:
-                    continue
-                canon, sign = nm
-            if variant == "lg" and canon[1] > 0:
-                raise UsageError("nu is not available in the gamma-only variant")
-            if not self._admits(canon):
-                continue
-            accumulate(clean, canon, coeff * sign)
-        self.terms = clean
+    def _normalize(self, G, N, blocks):
+        return chain_normalize(self.space, G, N, blocks)
 
-    def _admits(self, key) -> bool:
+    def _complaint(self, key):
+        if self.variant == "lg" and key[1] > 0:
+            return "nu is not available in the gamma-only variant"
+        return None
+
+    def _keeps(self, key) -> bool:
         G, N, blocks = key
         return (chain_order(key) <= self.profile.P
                 and len(blocks) <= self.profile.K
                 and all(len(w) <= self.profile.L for b in blocks for w in b))
 
-    def replace_terms(self, terms: dict) -> "CEChainElement":
-        return CEChainElement(self.space, self.variant, self.profile, terms,
-                              already_canonical=True)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CEChainElement)
-                and self.space == other.space
-                and self.variant == other.variant
-                and self.terms == other.terms)
-
-    def __add__(self, other: "CEChainElement") -> "CEChainElement":
-        self._check_compatible(other)
-        merged = dict(self.terms)
-        for k, c in other.terms.items():
-            accumulate(merged, k, c)
-        return self.replace_terms(merged)
-
-    def __sub__(self, other: "CEChainElement") -> "CEChainElement":
-        self._check_compatible(other)
-        merged = dict(self.terms)
-        for k, c in other.terms.items():
-            accumulate(merged, k, -c)
-        return self.replace_terms(merged)
-
-    def _check_compatible(self, other) -> None:
-        if not isinstance(other, CEChainElement):
-            raise UsageError("expected a chain element")
-        if self.space != other.space:
-            raise UsageError("chains live over different spaces")
-        if self.variant != other.variant:
-            raise UsageError(
-                f"variant mismatch: {self.variant} vs {other.variant}")
-
-    def scale(self, c) -> "CEChainElement":
-        c = Fraction(c)
-        return self.replace_terms({k: v * c for k, v in self.terms.items()})
-
     def capped(self, max_order: int, max_blocks: int) -> "CEChainElement":
         return self.replace_terms(
             {k: c for k, c in self.terms.items()
              if chain_order(k) <= max_order and len(k[2]) <= max_blocks})
-
-    def __repr__(self):
-        return f"CEChainElement({self.variant}, {sorted(self.terms.items())!r})"
 
 
 def chain_unit(space, variant, profile) -> CEChainElement:
@@ -163,14 +97,16 @@ def chain_unit(space, variant, profile) -> CEChainElement:
                           already_canonical=True)
 
 
-def embed_element(x: LambdaElement) -> CEChainElement:
-    """View a complex element as a one-block chain (pooling gamma, nu)."""
+def embed_element(x: LambdaElement,
+                  profile: TruncationProfile | None = None) -> CEChainElement:
+    """View a complex element as one-block chains (pooling gamma, nu),
+    truncated by profile, x's own by default."""
     out: dict = {}
     for (g, n, ws), c in x.terms.items():
         nm = chain_normalize(x.space, g, n, (ws,))
         if nm is not None:
             accumulate(out, nm[0], c * nm[1])
-    return CEChainElement(x.space, x.variant, x.profile, out,
+    return CEChainElement(x.space, x.variant, profile or x.profile, out,
                           already_canonical=True)
 
 
@@ -239,38 +175,5 @@ def chain_delta(x: CEChainElement) -> CEChainElement:
 
 
 def chain_coproduct(x: CEChainElement) -> dict:
-    """Unshuffle blocks into ordered pairs; the gamma/nu prefix rides left."""
-    out: dict = {}
-    for (G, N, blocks), c in x.terms.items():
-        pars = [block_parity(x.space, b) for b in blocks]
-        r = len(blocks)
-        for mask in range(1 << r):
-            sign = 1
-            for j in range(r):
-                if not (mask >> j) & 1:
-                    continue
-                for i in range(j):
-                    if not (mask >> i) & 1:
-                        sign *= (-1) ** (pars[i] * pars[j])
-            bl = tuple(blocks[j] for j in range(r) if (mask >> j) & 1)
-            br = tuple(blocks[j] for j in range(r) if not (mask >> j) & 1)
-            accumulate(out, ((G, N, bl), (0, 0, br)), c * sign)
-    return out
-
-
-def chain_project(x: CEChainElement, target: str) -> CEChainElement:
-    """Blockwise extension of the complex projections to chains."""
-    if target not in VARIANTS:
-        raise UsageError(f"unknown variant {target!r}")
-    order = {v: i for i, v in enumerate(("lgv", "lg", "hq2"))}
-    if order[target] < order[x.variant]:
-        raise UsageError(f"no projection from {x.variant} to {target}")
-    terms = x.terms
-    if target in ("lg", "hq2"):
-        terms = {k: c for k, c in terms.items() if k[1] == 0}
-    if target == "hq2":
-        terms = {k: c for k, c in terms.items()
-                 if k[0] == 0 and all(len(b) == 1 and len(b[0]) >= 2
-                                      for b in k[2])}
-    return CEChainElement(x.space, target, x.profile, terms,
-                          already_canonical=True)
+    """Unshuffle of chain blocks; blocks carry their block parity."""
+    return unshuffle(x.terms, lambda b: block_parity(x.space, b))

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .cecomplex import (LambdaElement, TruncationProfile, unbounded_profile)
 from .errors import UsageError
-from .space import SymplecticSpace
+from .space import SymplecticSpace, render_rational
 from .words import Hamiltonian, accumulate
 
 
@@ -163,17 +163,8 @@ def parse_hamiltonian(text: str, space: SymplecticSpace,
 # rendering
 
 
-def render_rational(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else (
-        f"{q.numerator}/{q.denominator}")
-
-
 def render_word(space: SymplecticSpace, word) -> str:
     return "w[" + ",".join(space.names[i] for i in word) + "]"
-
-
-_render_word = render_word
 
 
 def _render_term(space, coeff, g, n, words) -> str:
@@ -182,7 +173,7 @@ def _render_term(space, coeff, g, n, words) -> str:
         parts.append(f"g^{g}")
     if n:
         parts.append(f"v^{n}")
-    parts.extend(_render_word(space, w) for w in words)
+    parts.extend(render_word(space, w) for w in words)
     return " * ".join(parts)
 
 
@@ -223,7 +214,7 @@ def render_chain_terms(space: SymplecticSpace, terms: dict) -> str:
             parts.append(f"v^{N}")
         for block in blocks:
             parts.append(
-                "{" + " ".join(_render_word(space, w) for w in block) + "}")
+                "{" + " ".join(render_word(space, w) for w in block) + "}")
         body = " * ".join(parts)
         if not chunks:
             chunks.append(("-" if coeff < 0 else "") + body)

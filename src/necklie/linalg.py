@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .cecomplex import TruncationProfile, definition_order, tensor_parity
+from .cecomplex import TruncationProfile, tensor_parity, variant_complaint
 from .errors import IntegrityError, SliceRangeError, UsageError
 from .space import SymplecticSpace
 from .words import canonical_words
@@ -82,21 +82,6 @@ class BasisSlice:
         return {e: Fraction(c) for e, c in zip(self.elements, vector) if c}
 
 
-def _tensor_in_variant(variant, key) -> bool:
-    g, n, ws = key
-    if len(ws) < 1:
-        return False
-    if variant is None:
-        return True
-    if definition_order(key) < 2:
-        return False
-    if variant == "lg" and n > 0:
-        return False
-    if variant == "hq2" and (g or n or len(ws) != 1 or len(ws[0]) < 2):
-        return False
-    return True
-
-
 def _factor_counts(prof: TruncationProfile, g: int, n: int, order):
     """Factor counts k with 2g + n + k - 1 within P (and equal to order)."""
     top = min(prof.K, prof.P + 1 - 2 * g - n)
@@ -138,7 +123,8 @@ def enumerate_basis(space: SymplecticSpace, constraints) -> BasisSlice:
                                for a, b in zip(combo, combo[1:])):
                             continue
                         key = (g, n, tuple(words[i] for i in combo))
-                        if not _tensor_in_variant(variant, key):
+                        if (variant is not None
+                                and variant_complaint(variant, key)):
                             continue
                         if (parity is not None
                                 and tensor_parity(space, key) != parity):
@@ -408,38 +394,37 @@ def homology_dims(d_in: SparseRationalMatrix,
     ker = solve_and_kernel(d_out).kernel
     rank_in = solve_and_kernel(d_in).rank
     hom = len(ker) - rank_in
-    # representatives: kernel vectors extending a basis of the image
-    n = d_out.cols
-    image_cols = []
+    # representatives: kernel vectors extending a basis of the image, kept
+    # when they do not reduce to zero against one growing echelon basis
     by_col: dict = {}
     for (r, c), v in d_in.entries.items():
         by_col.setdefault(c, {})[r] = v
-    for c in range(d_in.cols):
-        vec = [Fraction(0)] * n
-        for r, v in by_col.get(c, {}).items():
+    echelon: dict = {}
+    for col in by_col.values():
+        vec = [Fraction(0)] * d_out.cols
+        for r, v in col.items():
             vec[r] = v
-        if any(vec):
-            image_cols.append(vec)
-    reps = []
-    basis = list(image_cols)
-    current_rank = _rank_of(basis, n)
-    for vec in ker:
-        if _rank_of(basis + [vec], n) > current_rank:
-            basis.append(vec)
-            current_rank += 1
-            reps.append(vec)
+        _echelon_insert(echelon, vec)
+    reps = [vec for vec in ker if _echelon_insert(echelon, vec)]
     if len(reps) != hom:
         raise IntegrityError("representative count disagrees with dimensions")
     return HomologyResult(len(ker), rank_in, hom, reps)
 
 
-def _rank_of(columns, n) -> int:
-    if not columns:
-        return 0
-    entries = {}
-    for j, col in enumerate(columns):
-        for i, v in enumerate(col):
-            if v:
-                entries[(i, j)] = v
-    return solve_and_kernel(
-        SparseRationalMatrix(n, len(columns), entries)).rank
+def _echelon_insert(echelon: dict, vec) -> bool:
+    """Reduce vec against the rows of echelon ({lead index: sparse row},
+    zero before its lead); store the remainder and return True when it
+    is nonzero, i.e. when vec is independent of the rows."""
+    vec = list(vec)
+    for i in range(len(vec)):
+        v = vec[i]
+        if not v:
+            continue
+        row = echelon.get(i)
+        if row is None:
+            echelon[i] = {j: x for j, x in enumerate(vec) if x}
+            return True
+        f = v / row[i]
+        for j, x in row.items():
+            vec[j] -= f * x
+    return False

@@ -30,7 +30,7 @@ from .cecomplex import (LambdaElement, TruncationProfile, lambda_bracket,
                         lambda_differential, normalize_tensor, raw_bracket,
                         unbounded_profile)
 from .chains import (CEChainElement, block_parity, chain_delta, chain_mul,
-                     chain_normalize, chain_order, chain_unit)
+                     chain_normalize, chain_order, chain_unit, embed_element)
 from .errors import PreconditionError, UsageError
 from .space import SymplecticSpace
 from .words import Hamiltonian, accumulate, canonical_words
@@ -152,17 +152,6 @@ def _flow(y: LambdaElement, x: LambdaElement) -> LambdaElement:
 # the exponential class on chains
 
 
-def _chain_view(x: LambdaElement, variant: str,
-                profile: TruncationProfile) -> CEChainElement:
-    out: dict = {}
-    for (g, n, ws), c in x.terms.items():
-        nm = chain_normalize(x.space, g, n, (ws,))
-        if nm is not None:
-            accumulate(out, nm[0], c * nm[1])
-    return CEChainElement(x.space, variant, profile, out,
-                          already_canonical=True)
-
-
 def exp_chain(x: LambdaElement,
               profile: TruncationProfile | None = None) -> CEChainElement:
     """1 + x + x.x/2 + ... in the chain algebra, truncated by the profile.
@@ -171,7 +160,7 @@ def exp_chain(x: LambdaElement,
     adds a block.
     """
     profile = profile or x.profile
-    xc = _chain_view(x, x.variant, profile)
+    xc = embed_element(x, profile)
     out = chain_unit(x.space, x.variant, profile)
     term = out
     r = 0
@@ -200,7 +189,7 @@ def char_class(x) -> CEChainElement:
 
 def left_product(y: LambdaElement, c: CEChainElement) -> CEChainElement:
     """Multiplication by y embedded as a one-block chain."""
-    return chain_mul(_chain_view(y, c.variant, c.profile), c)
+    return chain_mul(embed_element(y, c.profile), c)
 
 
 def gauge_rate(y: LambdaElement, c: CEChainElement) -> CEChainElement:
@@ -212,7 +201,7 @@ def gauge_rate(y: LambdaElement, c: CEChainElement) -> CEChainElement:
     if y.space != space:
         raise UsageError("gauge parameter lives over a different space")
     dy = lambda_differential(y)
-    out = dict(chain_mul(_chain_view(dy, c.variant, c.profile), c).terms)
+    out = dict(chain_mul(embed_element(dy, c.profile), c).terms)
     for (G, N, blocks), c0 in c.terms.items():
         bpars = [block_parity(space, b) for b in blocks]
         for i, block in enumerate(blocks):
@@ -278,7 +267,7 @@ def _chain_pool(space, variant, profile, limit):
         for b in range(a, len(words)):
             nm = normalize_tensor(space, 0, 0, (words[a], words[b]))
             if nm is not None:
-                blocks.append(tuple(nm[0].factors))
+                blocks.append(nm[0][2])
     blocks = sorted(set(blocks),
                     key=lambda bl: (sum(len(w) for w in bl), bl))[:12]
     n_max = 0 if variant == "lg" else min(profile.N, 1)
@@ -301,7 +290,10 @@ def homotopy_check(y: LambdaElement, x, profile: TruncationProfile,
         single application is a finite sum, so no caps are needed);
     (b) exp(rate_y) applied to the class of x equals the class of the
         flowed element, compared inside the window where both series are
-        accurate: order <= P-2, blocks <= K-1.
+        accurate: order <= P-2, blocks <= K-1, pooled gamma <= G and nu
+        <= N.  Brackets, d, products and the rate never lower G or N, so
+        the flowed element's G and N caps are exact below them, while the
+        rate side is capped by P and K only.
     """
     cand = as_candidate(x)
     v = cand.value
@@ -332,8 +324,13 @@ def homotopy_check(y: LambdaElement, x, profile: TruncationProfile,
     lhs = exp_chain(flowed, profile)
     rhs = exp_gauge_rate(y_prof, exp_chain(x_prof, profile))
     window_o, window_k = profile.P - 2, profile.K - 1
-    ok = lhs.capped(window_o, window_k) == rhs.capped(window_o, window_k)
-    flow.record(ok, lambda: f"window order<={window_o} blocks<={window_k}")
+
+    def window(c):
+        return {k: v for k, v in c.capped(window_o, window_k).terms.items()
+                if k[0] <= profile.G and k[1] <= profile.N}
+    flow.record(window(lhs) == window(rhs),
+                lambda: f"window order<={window_o} blocks<={window_k} "
+                        f"G<={profile.G} N<={profile.N}")
 
     return HomotopyReport(op, flow)
 
@@ -354,8 +351,8 @@ def class_residual_identity(x: LambdaElement) -> bool:
     lhs = chain_delta(cx)
     if x.space.form_parity == 1:
         res = mc_residual(MCCandidate(x))
-        rhs = chain_mul(_chain_view(res, x.variant, prof), cx)
+        rhs = chain_mul(embed_element(res), cx)
     else:
-        rhs = _chain_view(lambda_differential(x), x.variant, prof)
+        rhs = embed_element(lambda_differential(x))
     w_o, w_k = prof.P - 1, prof.K - 1
     return lhs.capped(w_o, w_k) == rhs.capped(w_o, w_k)

@@ -21,7 +21,7 @@ from math import comb
 
 from .bialgebra import CobracketValue, bracket, cobracket
 from .cecomplex import (LambdaElement, TruncationProfile, filtration_order,
-                        raw_bracket, unbounded_profile)
+                        raw_bracket, unbounded_profile, variant_cut)
 from .errors import (IntegrityError, PreconditionError, SliceRangeError,
                      UsageError)
 from .linalg import (BasisSlice, TensorSliceSpec, WordSliceSpec,
@@ -59,7 +59,11 @@ def embed_hamiltonian(h: Hamiltonian, variant: str,
 
 
 class MCState:
-    """Partial solution h_0 + ... + h_n with residual vanishing to order n."""
+    """Partial solution h_0 + ... + h_n with residual vanishing to order n.
+
+    A base h_0 that does not square to zero raises PreconditionError with
+    the square as evidence.
+    """
 
     __slots__ = ("space", "variant", "profile", "components", "_residual")
 
@@ -87,10 +91,7 @@ class MCState:
                 raise UsageError("the base component must be a sum of "
                                  "single-word tensors")
         self.components = components
-        sq = bracket(self.base_hamiltonian(), self.base_hamiltonian(),
-                     max_length=None)
-        if not sq.is_zero():
-            raise UsageError("the base hamiltonian does not square to zero")
+        _require_flat(self.base_hamiltonian())
         res = self._residual = mc_residual(MCCandidate(self.value()))
         low = res.min_filtration_order()
         if low is not None and low <= self.level:
@@ -265,10 +266,8 @@ def _word_vector_to_ham(space, slice_, vector) -> Hamiltonian:
 def _adjoint_op(space, h_terms, variant):
     """v -> [v, h] as a raw-terms operator on tensor keys."""
     def op(key):
-        out = raw_bracket(space, {key: Fraction(1)}, h_terms)
-        if variant == "lg":
-            out = {k: c for k, c in out.items() if k[1] == 0}
-        return out
+        return variant_cut(variant,
+                           raw_bracket(space, {key: Fraction(1)}, h_terms))
     return op
 
 
@@ -389,7 +388,6 @@ def lift(h: Hamiltonian, target_order: int, variant: str,
     """
     if target_order < 0:
         raise UsageError("target order must be nonnegative")
-    _require_flat(h)
     profile = profile or default_lift_profile(h.space, variant, target_order)
     state = MCState([embed_hamiltonian(h, variant, profile)])
     history = []

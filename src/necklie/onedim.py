@@ -22,7 +22,7 @@ from .linalg import WordSliceSpec
 from .mc import MCCandidate, mc_residual
 from .obstruction import hochschild_cohomology, lift
 from .space import SymplecticSpace, one_dim_space
-from .words import Hamiltonian, canonical_words, normalize_word
+from .words import Hamiltonian, accumulate, canonical_words, normalize_word
 
 
 def make_family(coeffs: dict | None = None,
@@ -82,10 +82,8 @@ def general_solution_sample(assignment: dict,
         nm = normalize_tensor(space, *key)
         if nm is None:
             continue  # repeated odd power: the wedge is zero
-        terms[tuple(nm[0])] = terms.get(tuple(nm[0]), Fraction(0)) + c * nm[1]
-    out = LambdaElement(space, "lg", profile,
-                        {k: v for k, v in terms.items() if v},
-                        already_canonical=True)
+        accumulate(terms, nm[0], c * nm[1])
+    out = LambdaElement(space, "lg", profile, terms, already_canonical=True)
     res = mc_residual(MCCandidate(out))
     if not res.is_zero():
         raise IntegrityError("a one-generator nu-free element failed the "

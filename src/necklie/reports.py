@@ -7,20 +7,13 @@ from fractions import Fraction
 
 from .cecomplex import LambdaElement
 from .chains import CEChainElement
-from .exprs import (render_chain_terms, render_element, render_hamiltonian,
-                    render_rational, render_terms)
+from .exprs import (render_chain_terms, render_hamiltonian, render_rational,
+                    render_terms)
 from .words import Hamiltonian
 
 
 def element_payload(x: LambdaElement) -> dict:
-    names = x.space.names
-    return {
-        "expr": render_element(x),
-        "terms": [{"gamma": g, "nu": n,
-                   "words": [[names[i] for i in w] for w in ws],
-                   "coeff": render_rational(x.terms[(g, n, ws)])}
-                  for (g, n, ws) in sorted(x.terms)],
-    }
+    return terms_payload(x.space, x.terms)
 
 
 def hamiltonian_payload(h: Hamiltonian) -> dict:

@@ -145,6 +145,3 @@ class Hamiltonian:
         c = Fraction(c)
         return Hamiltonian(self.space, {w: v * c for w, v in self.terms.items()},
                            self.scalar * c, self.max_length)
-
-    def word_names(self, word) -> tuple:
-        return tuple(self.space.names[g] for g in word)

@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from necklie import (LambdaElement, TruncationProfile, UsageError,
+from necklie import (CEChainElement, LambdaElement, TruncationProfile,
+                     UsageError, chain_coproduct, coproduct,
                      extend_cobracket, lambda_bracket, lambda_differential,
                      normalize_tensor, project, unbounded_profile)
 from necklie.cecomplex import (definition_order, filtration_order,
@@ -347,6 +348,17 @@ def test_coproduct_is_counital_unshuffle(sp2):
     assert len(cop) == 4
     assert cop[((1, 0, ((0,), (0, 0))), (0, 0, ()))] == F(1)
     assert cop[((1, 0, ()), (0, 0, ((0,), (0, 0))))] == F(1)
+    # chains unshuffle blocks the same way: swapping the two odd blocks
+    # w[xi] and w[x,x,xi] costs -1, and the gamma prefix rides left
+    b1, b2 = ((1,),), ((0, 0, 1),)
+    chain = CEChainElement(sp2, "lgv", unbounded_profile(),
+                           {(1, 0, (b1, b2)): F(1)})
+    assert coproduct(chain) == chain_coproduct(chain) == {
+        ((1, 0, ()), (0, 0, (b1, b2))): F(1),
+        ((1, 0, (b1,)), (0, 0, (b2,))): F(1),
+        ((1, 0, (b2,)), (0, 0, (b1,))): F(-1),
+        ((1, 0, (b1, b2)), (0, 0, ())): F(1),
+    }
 
 
 def test_profile_validation():

@@ -166,3 +166,12 @@ def test_chain_compatibility_checks(sp1, sp2):
     c = chain_unit(sp1, "lg", unbounded_profile())
     with pytest.raises(UsageError):
         a + c
+    # a complex element is never a chain, even with equal (empty) terms
+    lam = LambdaElement(sp1, "lgv", unbounded_profile(), {})
+    chn = CEChainElement(sp1, "lgv", unbounded_profile(), {})
+    assert lam.terms == chn.terms
+    assert lam != chn and chn != lam
+    with pytest.raises(UsageError):
+        chn + lam
+    with pytest.raises(UsageError):
+        lam + chn

@@ -60,6 +60,10 @@ def test_adjoint_differential_needs_flat_base(sp2):
     crooked = Hamiltonian(sp2, {(0, 0, 1, 1): F(1)})
     with pytest.raises(PreconditionError):
         hochschild_differential(crooked, Hamiltonian(sp2, {(0, 1): F(1)}))
+    with pytest.raises(PreconditionError) as err:
+        MCState([embed_hamiltonian(crooked, "lgv",
+                                   default_lift_profile(sp2, "lgv", 1))])
+    assert not err.value.evidence.is_zero()
 
 
 def test_adjoint_of_cubic_vanishes_on_all_words(sp1, t3):
