@@ -392,39 +392,40 @@ def homology_dims(d_in: SparseRationalMatrix,
     if not d_out.compose(d_in).is_zero():
         raise IntegrityError("d_out composed with d_in is nonzero")
     ker = solve_and_kernel(d_out).kernel
-    rank_in = solve_and_kernel(d_in).rank
-    hom = len(ker) - rank_in
-    # representatives: kernel vectors extending a basis of the image, kept
-    # when they do not reduce to zero against one growing echelon basis
+    # reduce the image columns and then each kernel vector against one
+    # growing echelon basis; the image columns leave rank(d_in) rows, and a
+    # kernel vector is a representative when it does not reduce to zero
     by_col: dict = {}
     for (r, c), v in d_in.entries.items():
         by_col.setdefault(c, {})[r] = v
     echelon: dict = {}
     for col in by_col.values():
-        vec = [Fraction(0)] * d_out.cols
-        for r, v in col.items():
-            vec[r] = v
-        _echelon_insert(echelon, vec)
-    reps = [vec for vec in ker if _echelon_insert(echelon, vec)]
+        _echelon_insert(echelon, col)
+    rank_in = len(echelon)
+    hom = len(ker) - rank_in
+    reps = [vec for vec in ker
+            if _echelon_insert(echelon, {i: v for i, v in enumerate(vec) if v})]
     if len(reps) != hom:
         raise IntegrityError("representative count disagrees with dimensions")
     return HomologyResult(len(ker), rank_in, hom, reps)
 
 
-def _echelon_insert(echelon: dict, vec) -> bool:
-    """Reduce vec against the rows of echelon ({lead index: sparse row},
-    zero before its lead); store the remainder and return True when it
-    is nonzero, i.e. when vec is independent of the rows."""
-    vec = list(vec)
-    for i in range(len(vec)):
-        v = vec[i]
-        if not v:
-            continue
+def _echelon_insert(echelon: dict, vec: dict) -> bool:
+    """Reduce the sparse vector vec ({index: value}) against the rows of
+    echelon ({lead index: sparse row, zero before its lead}); store the
+    remainder and return True when it is nonzero, i.e. when vec is
+    independent of the rows.  vec is consumed."""
+    while vec:
+        i = min(vec)
         row = echelon.get(i)
         if row is None:
-            echelon[i] = {j: x for j, x in enumerate(vec) if x}
+            echelon[i] = vec
             return True
-        f = v / row[i]
+        f = vec[i] / row[i]
         for j, x in row.items():
-            vec[j] -= f * x
+            v = vec.get(j, 0) - f * x
+            if v:
+                vec[j] = v
+            else:
+                vec.pop(j, None)
     return False

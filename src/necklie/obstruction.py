@@ -389,7 +389,12 @@ def lift(h: Hamiltonian, target_order: int, variant: str,
     if target_order < 0:
         raise UsageError("target order must be nonnegative")
     profile = profile or default_lift_profile(h.space, variant, target_order)
-    state = MCState([embed_hamiltonian(h, variant, profile)])
+    base = embed_hamiltonian(h, variant, profile)
+    if len(base.terms) < len(h.terms):
+        # the profile dropped words of h, so the state's check of its base
+        # does not see all of h
+        _require_flat(h)
+    state = MCState([base])
     history = []
     while state.level < target_order:
         step = extend_step(state, (choices or {}).get(state.level + 1))

@@ -183,6 +183,10 @@ def test_lift_input_validation(sp1, sp2, t3):
         lift(t3, -1, "lg")
     with pytest.raises(PreconditionError):
         lift(Hamiltonian(sp2, {(0, 0, 1, 1): F(1)}), 1, "lgv")
+    # at order 0 the default profile (L=3) drops the length-4 word, so the
+    # base is empty and only h itself shows it is not flat
+    with pytest.raises(PreconditionError):
+        lift(Hamiltonian(sp2, {(0, 0, 1, 1): F(1)}), 0, "lgv")
     trivial = lift(t3, 0, "lg")
     assert trivial.succeeded and trivial.state.level == 0
 
