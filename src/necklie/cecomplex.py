@@ -267,10 +267,6 @@ class TruncationProfile:
                 and all(len(w) <= self.L for w in ws)
                 and filtration_order(key) <= self.P)
 
-    def coarser_than(self, other: "TruncationProfile") -> bool:
-        return (self.L <= other.L and self.K <= other.K and self.G <= other.G
-                and self.N <= other.N and self.P <= other.P)
-
 
 def unbounded_profile() -> TruncationProfile:
     """A profile so large no computation in the test sizes ever hits it."""

@@ -10,7 +10,9 @@ the Koszul rule; here they run on blocks instead of words.
 
 The outer differential applies d to one block, or contracts two blocks
 through the tensor bracket into one, with the same front-loading sign
-convention as the inner differential.  The outer filtration order is
+convention as the inner differential.  ``bracket_into_block`` owns that
+contraction and its nu sign; ``mc.gauge_rate`` reuses it to bracket the
+gauge parameter into one block.  The outer filtration order is
 2G + N + sum(k_i - 1); truncation keeps order <= P, block count <= K and
 word length <= L of the profile.
 """
@@ -21,7 +23,8 @@ from fractions import Fraction
 
 from .cecomplex import (LambdaElement, TruncatedCombination,
                         TruncationProfile, koszul_sort, normalize_tensor,
-                        raw_bracket, raw_differential, unshuffle)
+                        raw_bracket, raw_differential, tensor_parity,
+                        unshuffle)
 from .errors import UsageError
 from .space import SymplecticSpace
 from .words import accumulate
@@ -144,8 +147,7 @@ def chain_delta(x: CEChainElement) -> CEChainElement:
             for (g2, n2, ws2), c2 in dblock.items():
                 if not ws2:
                     continue
-                cpar = ((sum(space.word_parity(w) for w in ws2)
-                         + n2 * nu_par) - bpars[i]) & 1
+                cpar = (tensor_parity(space, (g2, n2, ws2)) - bpars[i]) & 1
                 s = (-1) ** (cpar * ((N * nu_par + pre) & 1))
                 s *= (-1) ** ((n2 * nu_par) * pre)
                 nb = blocks[:i] + (ws2,) + blocks[i + 1:]
@@ -158,20 +160,32 @@ def chain_delta(x: CEChainElement) -> CEChainElement:
                 pre_i = sum(bpars[:i]) & 1
                 pre_j = (sum(bpars[:j]) - bpars[i]) & 1
                 s0 = (-1) ** (bpars[i] * pre_i + bpars[j] * pre_j + bpars[i])
-                br = raw_bracket(space, {(0, 0, blocks[i]): Fraction(1)},
-                                 {(0, 0, blocks[j]): Fraction(1)})
                 rest = tuple(b for l, b in enumerate(blocks) if l not in (i, j))
-                for (g2, n2, ws2), c2 in br.items():
-                    if not ws2 or (not with_nu and n2):
-                        continue
-                    cpar = ((sum(space.word_parity(w) for w in ws2)
-                             + n2 * nu_par) - bpars[i] - bpars[j]) & 1
-                    s = s0 * (-1) ** (cpar * (N * nu_par))
-                    nm = chain_normalize(space, G + g2, N + n2, (ws2,) + rest)
-                    if nm is None:
-                        continue
-                    accumulate(out, nm[0], c0 * c2 * s * nm[1])
+                bracket_into_block(out, space, G, N, c0 * s0,
+                                   {(0, 0, blocks[i]): Fraction(1)},
+                                   {(0, 0, blocks[j]): Fraction(1)},
+                                   bpars[i] + bpars[j], rest, with_nu)
     return x.replace_terms(out)
+
+
+def bracket_into_block(out: dict, space: SymplecticSpace, G: int, N: int,
+                       coeff: Fraction, a: dict, b: dict, consumed: int,
+                       rest: tuple, with_nu: bool) -> None:
+    """Accumulate coeff * [a, b] into out as one block in front of rest,
+    in place of blocks of total parity consumed of a chain with prefixes
+    G, N.  Results without words or with a nu outside the variant drop;
+    the contracted parity (result's less consumed) crosses the N nu's.
+    The caller's front-loading sign comes in coeff."""
+    nu_par = space.nu_parity
+    for (g2, n2, ws2), c2 in raw_bracket(space, a, b).items():
+        if not ws2 or (not with_nu and n2):
+            continue
+        cpar = (tensor_parity(space, (g2, n2, ws2)) - consumed) & 1
+        nm = chain_normalize(space, G + g2, N + n2, (ws2,) + rest)
+        if nm is None:
+            continue
+        accumulate(out, nm[0],
+                   coeff * c2 * (-1) ** (cpar * (N * nu_par)) * nm[1])
 
 
 def chain_coproduct(x: CEChainElement) -> dict:

@@ -347,17 +347,23 @@ _HANDLERS = {
 }
 
 
-def _add_common(sub):
+_FLAGS = {
+    "--trunc": dict(metavar="L,K,G,N[,P]", help="truncation profile"),
+    "--variant": dict(choices=_VARIANTS, default="lgv",
+                      help="complex variant (default lgv)"),
+    "--seed": dict(type=int, default=2718, help="seed for sampled checks"),
+}
+
+
+def _add_common(sub, *flags):
+    """--space and --format, plus those of --trunc, --variant and --seed
+    that the subcommand's handler reads."""
     sub.add_argument("--space", metavar="FILE",
                      help="JSON description of the symplectic space "
                           "(default: the one-generator odd space)")
-    sub.add_argument("--trunc", metavar="L,K,G,N[,P]",
-                     help="truncation profile")
-    sub.add_argument("--variant", choices=_VARIANTS, default="lgv",
-                     help="complex variant (default lgv)")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--seed", type=int, default=2718,
-                     help="seed for sampled checks")
+    for flag in flags:
+        sub.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,20 +376,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("axioms", help="verify the bialgebra identities")
     sub.add_argument("--max-length", type=int, default=5)
     sub.add_argument("--samples", type=int, default=100)
-    _add_common(sub)
+    _add_common(sub, "--seed")
 
-    for name, nargs, help_ in (
-            ("bracket", 2, "bracket of two word combinations"),
-            ("cobracket", 1, "cobracket of a word combination"),
-            ("diff", 1, "differential of a complex element"),
-            ("mc-check", 1, "flatness of a candidate element"),
-            ("gauge", 2, "gauge action: gauge PARAM CANDIDATE"),
-            ("ch", 1, "exponential class of a flat candidate"),
-            ("kunneth", 1, "compare direct and predicted cohomology"),
-            ("constraint", 1, "cobracket-kernel membership")):
+    complex_flags = ("--trunc", "--variant")
+    for name, nargs, flags, help_ in (
+            ("bracket", 2, (), "bracket of two word combinations"),
+            ("cobracket", 1, (), "cobracket of a word combination"),
+            ("diff", 1, complex_flags, "differential of a complex element"),
+            ("mc-check", 1, complex_flags, "flatness of a candidate element"),
+            ("gauge", 2, complex_flags, "gauge action: gauge PARAM CANDIDATE"),
+            ("ch", 1, complex_flags, "exponential class of a flat candidate"),
+            ("kunneth", 1, complex_flags,
+             "compare direct and predicted cohomology"),
+            ("constraint", 1, (), "cobracket-kernel membership")):
         sub = subs.add_parser(name, help=help_)
         sub.add_argument("exprs", nargs=nargs, metavar="EXPR")
-        _add_common(sub)
+        _add_common(sub, *flags)
 
     sub = subs.add_parser("hochschild", help="word-space cohomology of ad(h)")
     sub.add_argument("exprs", nargs=1, metavar="EXPR")
@@ -398,11 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=help_)
         sub.add_argument("exprs", nargs=1, metavar="EXPR")
         sub.add_argument("--order", type=int, default=default)
-        _add_common(sub)
+        _add_common(sub, *complex_flags)
 
     sub = subs.add_parser("example-1d",
                           help="golden battery for the one-generator family")
-    _add_common(sub)
+    _add_common(sub, "--trunc")
     return parser
 
 

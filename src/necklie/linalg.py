@@ -64,15 +64,12 @@ class BasisSlice:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def vector_of(self, terms: dict, truncate: bool = False):
-        """Coordinates of a terms dict; out-of-slice keys are an error
-        unless truncate is set."""
+    def vector_of(self, terms: dict):
+        """Coordinates of a terms dict; out-of-slice keys are an error."""
         vec = [Fraction(0)] * len(self.elements)
         for key, coeff in terms.items():
             pos = self.index.get(key)
             if pos is None:
-                if truncate:
-                    continue
                 raise SliceRangeError(
                     f"component {key!r} falls outside the declared slice")
             vec[pos] = Fraction(coeff)
@@ -155,19 +152,6 @@ class SparseRationalMatrix:
                 raise UsageError(f"entry ({r},{c}) outside a {rows}x{cols} matrix")
             self.entries[(r, c)] = v
 
-    @classmethod
-    def identity(cls, n: int) -> "SparseRationalMatrix":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
-
-    def apply(self, vector):
-        if len(vector) != self.cols:
-            raise UsageError("vector length does not match column count")
-        out = [Fraction(0)] * self.rows
-        for (r, c), v in self.entries.items():
-            if vector[c]:
-                out[r] += v * vector[c]
-        return out
-
     def compose(self, other: "SparseRationalMatrix") -> "SparseRationalMatrix":
         """self @ other."""
         if self.cols != other.rows:
@@ -194,20 +178,13 @@ class SparseRationalMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def to_dense(self):
-        dense = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            dense[r][c] = v
-        return dense
 
-
-def matrix_of_operator(op, domain: BasisSlice, codomain: BasisSlice,
-                       truncate: bool = False) -> SparseRationalMatrix:
+def matrix_of_operator(op, domain: BasisSlice,
+                       codomain: BasisSlice) -> SparseRationalMatrix:
     """Matrix whose column j holds the codomain coordinates of op(basis_j).
 
     op maps a basis element to a terms dict.  Output components outside the
-    codomain slice raise a range error naming the offender unless the
-    truncate flag is passed.
+    codomain slice raise a range error naming the offender.
     """
     entries: dict = {}
     for j, elem in enumerate(domain.elements):
@@ -217,11 +194,9 @@ def matrix_of_operator(op, domain: BasisSlice, codomain: BasisSlice,
                 continue
             pos = codomain.index.get(key)
             if pos is None:
-                if truncate:
-                    continue
                 raise SliceRangeError(
                     f"op({elem!r}) has component {key!r} outside the codomain "
-                    f"slice; pass truncate=True to drop it deliberately")
+                    f"slice")
             entries[(pos, j)] = Fraction(coeff)
     return SparseRationalMatrix(len(codomain), len(domain), entries)
 

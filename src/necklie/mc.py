@@ -1,5 +1,9 @@
 """Maurer-Cartan residuals, the gauge flow, and the exponential class.
 
+Candidates, gauge parameters and flowed elements are complex elements
+(``LambdaElement``).  Single-word data enters as the ``hq2`` slice of the
+complex through ``obstruction.embed_hamiltonian(h, "hq2", profile)``.
+
 Candidates are even when the pairing is odd and odd when the pairing is
 even; gauge parameters are odd in both cases (the even-pairing case makes
 "opposite parity" literally false: there the nilpotent hamiltonians and
@@ -16,7 +20,9 @@ acts through the rate operator
     rate_y(c)  =  embed(dy) . c  -  sum_i +/- [y, B_i] . (c without B_i)
 
 satisfying rate_y = delta o (embed(y) . -) + (embed(y) . -) o delta for
-odd y, so that exp(rate_y) matches ch of the flowed element.
+odd y, so that exp(rate_y) matches ch of the flowed element.  Its bracket
+of y into one block is ``chains.bracket_into_block``, the contraction of
+the outer differential.
 """
 
 from __future__ import annotations
@@ -27,13 +33,14 @@ from itertools import combinations_with_replacement
 
 from .bialgebra import IdentityResult
 from .cecomplex import (LambdaElement, TruncationProfile, lambda_bracket,
-                        lambda_differential, normalize_tensor, raw_bracket,
+                        lambda_differential, normalize_tensor,
                         unbounded_profile)
-from .chains import (CEChainElement, block_parity, chain_delta, chain_mul,
-                     chain_normalize, chain_order, chain_unit, embed_element)
+from .chains import (CEChainElement, block_parity, bracket_into_block,
+                     chain_delta, chain_mul, chain_normalize, chain_order,
+                     chain_unit, embed_element)
 from .errors import PreconditionError, UsageError
 from .space import SymplecticSpace
-from .words import Hamiltonian, accumulate, canonical_words
+from .words import canonical_words
 
 GAUGE_PARITY = 1          # flow directions are odd for both pairing parities
 _SERIES_LIMIT = 60
@@ -44,108 +51,71 @@ def candidate_parity(space: SymplecticSpace) -> int:
     return 0 if space.form_parity == 1 else 1
 
 
+def check_parity(x, want: int, what: str) -> None:
+    """Refuse x when it is homogeneous of a parity other than want; zero
+    and mixed elements pass (flat one-generator samples mix parities)."""
+    got = x.parity()
+    if got is not None and got != want:
+        raise UsageError(f"{what} must have parity {want}, got {got}")
+
+
 @dataclass(frozen=True)
 class MCCandidate:
-    """A homogeneous element of the structure parity, possibly non-flat."""
+    """A complex element of the structure parity, possibly non-flat."""
 
-    value: object     # LambdaElement, or Hamiltonian for single-word data
+    value: LambdaElement
 
     def __post_init__(self):
-        v = self.value
-        if not isinstance(v, (LambdaElement, Hamiltonian)):
-            raise UsageError("candidate must wrap a complex element or a "
-                             "hamiltonian")
-        want = candidate_parity(v.space)
-        got = v.parity()
-        if got is not None and got != want:
-            raise UsageError(
-                f"candidate must be homogeneous of parity {want}, got {got}")
-
-    @property
-    def space(self) -> SymplecticSpace:
-        return self.value.space
+        if not isinstance(self.value, LambdaElement):
+            raise UsageError("candidate must wrap a complex element")
+        check_parity(self.value, candidate_parity(self.value.space),
+                     "candidate")
 
 
 def as_candidate(x) -> MCCandidate:
     return x if isinstance(x, MCCandidate) else MCCandidate(x)
 
 
-def _hamiltonian_profile(h: Hamiltonian) -> TruncationProfile:
-    longest = max((len(w) for w in h.terms), default=2)
-    return TruncationProfile(L=max(h.max_length or 0, longest, 2),
-                             K=1, G=1, N=0, P=1)
-
-
-def element_of_hamiltonian(h: Hamiltonian,
-                           profile: TruncationProfile | None = None
-                           ) -> LambdaElement:
-    """Single-word view of a hamiltonian supported in length >= 2."""
-    profile = profile or _hamiltonian_profile(h)
-    terms = {(0, 0, (w,)): c for w, c in h.terms.items()}
-    return LambdaElement(h.space, "hq2", profile, terms,
-                         already_canonical=True)
-
-
-def hamiltonian_of_element(x: LambdaElement) -> Hamiltonian:
-    if x.variant != "hq2":
-        raise UsageError("only single-word elements convert to hamiltonians")
-    return Hamiltonian(x.space, {ws[0]: c for (_, _, ws), c in x.terms.items()})
-
-
-def mc_residual(x):
-    """d(x) + 1/2 [x, x] in the candidate's own variant, truncated.
-
-    Returns the same kind of object as the wrapped value.
-    """
-    cand = as_candidate(x)
-    v = cand.value
-    if isinstance(v, Hamiltonian):
-        from .bialgebra import bracket
-        return bracket(v, v, max_length=v.max_length).scale(Fraction(1, 2))
+def mc_residual(x) -> LambdaElement:
+    """d(x) + 1/2 [x, x] in the candidate's own variant, truncated."""
+    v = as_candidate(x).value
     return (lambda_differential(v)
             + lambda_bracket(v, v).scale(Fraction(1, 2)))
 
 
 def _check_gauge_parameter(y: LambdaElement, against: LambdaElement) -> None:
-    if not isinstance(y, LambdaElement):
-        raise UsageError("gauge parameter must be a complex element")
-    if y.space != against.space:
-        raise UsageError("gauge parameter lives over a different space")
-    if y.variant != against.variant:
-        raise UsageError(f"variant mismatch: {y.variant} vs {against.variant}")
-    p = y.parity()
-    if p is not None and p != GAUGE_PARITY:
-        raise UsageError("gauge parameters must be odd")
+    against._check_compatible(y)
+    check_parity(y, GAUGE_PARITY, "gauge parameter")
 
 
 def gauge_act(y: LambdaElement, x) -> MCCandidate:
     """Integrated gauge flow exp(y) . x; truncation caps come from x."""
-    cand = as_candidate(x)
-    v = cand.value
-    if isinstance(v, Hamiltonian):
-        ve = element_of_hamiltonian(v)
-        if isinstance(y, Hamiltonian):
-            y = element_of_hamiltonian(y, ve.profile)
-        flowed = _flow(y, ve)
-        return MCCandidate(hamiltonian_of_element(flowed))
+    v = as_candidate(x).value
     _check_gauge_parameter(y, v)
     return MCCandidate(_flow(y, v))
 
 
-def _flow(y: LambdaElement, x: LambdaElement) -> LambdaElement:
-    out = x
-    cur = lambda_differential(y) - lambda_bracket(y, x)
-    fact = Fraction(1)
+def _series(term, step):
+    """term + step(term, 1) + step(step(term, 1), 2) + ..., summed until a
+    term vanishes; step(t, m) returns the m-th term from the one before."""
+    out = term
     m = 0
-    while not cur.is_zero():
-        fact /= m + 1
-        out = out + cur.scale(fact)
-        cur = lambda_bracket(y, cur).scale(-1)
+    while not term.is_zero():
         m += 1
         if m > _SERIES_LIMIT:
-            raise UsageError("gauge series did not terminate; the profile "
-                             "admits order-zero directions it cannot exhaust")
+            raise UsageError("series did not terminate; the profile admits "
+                             "order-zero directions it cannot exhaust")
+        term = step(term, m)
+        out = out + term
     return out
+
+
+def _flow(y: LambdaElement, x: LambdaElement) -> LambdaElement:
+    # the partial sums run in y's profile, which already truncates every
+    # term (each comes from lambda_bracket(y, .)); adding x applies its caps
+    return x + _series(
+        lambda_differential(y) - lambda_bracket(y, x),
+        lambda t, m: lambda_bracket(y, t).scale(Fraction(-1, m + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,30 +131,18 @@ def exp_chain(x: LambdaElement,
     """
     profile = profile or x.profile
     xc = embed_element(x, profile)
-    out = chain_unit(x.space, x.variant, profile)
-    term = out
-    r = 0
-    while True:
-        r += 1
-        term = chain_mul(term, xc).scale(Fraction(1, r))
-        if term.is_zero():
-            return out
-        out = out + term
-        if r > min(profile.K + 2, _SERIES_LIMIT):
-            raise UsageError("exponential series exceeded the block bound")
+    return _series(chain_unit(x.space, x.variant, profile),
+                   lambda t, m: chain_mul(t, xc).scale(Fraction(1, m)))
 
 
 def char_class(x) -> CEChainElement:
     """Exponential class of a flat candidate; caps come from x's profile."""
     cand = as_candidate(x)
-    v = cand.value
-    if isinstance(v, Hamiltonian):
-        v = element_of_hamiltonian(v)
     residual = mc_residual(cand)
     if not residual.is_zero():
         raise PreconditionError(
             "candidate is not flat within truncation", evidence=residual)
-    return exp_chain(v)
+    return exp_chain(cand.value)
 
 
 def left_product(y: LambdaElement, c: CEChainElement) -> CEChainElement:
@@ -196,10 +154,7 @@ def gauge_rate(y: LambdaElement, c: CEChainElement) -> CEChainElement:
     """Infinitesimal gauge action on chains: embed(dy).c minus the signed
     bracket of y into each block."""
     space = c.space
-    nu_par = space.nu_parity
     with_nu = c.variant == "lgv"
-    if y.space != space:
-        raise UsageError("gauge parameter lives over a different space")
     dy = lambda_differential(y)
     out = dict(chain_mul(embed_element(dy, c.profile), c).terms)
     for (G, N, blocks), c0 in c.terms.items():
@@ -207,33 +162,16 @@ def gauge_rate(y: LambdaElement, c: CEChainElement) -> CEChainElement:
         for i, block in enumerate(blocks):
             pre = sum(bpars[:i]) & 1
             s0 = (-1) ** (bpars[i] * pre + 1)
-            br = raw_bracket(space, y.terms, {(0, 0, block): Fraction(1)})
             rest = tuple(b for l, b in enumerate(blocks) if l != i)
-            for (g2, n2, ws2), c2 in br.items():
-                if not ws2 or (not with_nu and n2):
-                    continue
-                cpar = ((sum(space.word_parity(w) for w in ws2)
-                         + n2 * nu_par) - bpars[i]) & 1
-                s = s0 * (-1) ** (cpar * (N * nu_par))
-                nm = chain_normalize(space, G + g2, N + n2, (ws2,) + rest)
-                if nm is None:
-                    continue
-                accumulate(out, nm[0], c0 * c2 * s * nm[1])
+            bracket_into_block(out, space, G, N, c0 * s0, y.terms,
+                               {(0, 0, block): Fraction(1)}, bpars[i], rest,
+                               with_nu)
     return c.replace_terms(out)
 
 
 def exp_gauge_rate(y: LambdaElement, c: CEChainElement) -> CEChainElement:
     """Operator exponential of the rate, truncated by c's profile."""
-    out = c
-    term = c
-    m = 0
-    while not term.is_zero():
-        m += 1
-        term = gauge_rate(y, term).scale(Fraction(1, m))
-        out = out + term
-        if m > _SERIES_LIMIT:
-            raise UsageError("rate exponential did not terminate")
-    return out
+    return _series(c, lambda t, m: gauge_rate(y, t).scale(Fraction(1, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +233,7 @@ def homotopy_check(y: LambdaElement, x, profile: TruncationProfile,
         the flowed element's G and N caps are exact below them, while the
         rate side is capped by P and K only.
     """
-    cand = as_candidate(x)
-    v = cand.value
-    if isinstance(v, Hamiltonian):
-        v = element_of_hamiltonian(v)
+    v = as_candidate(x).value
     _check_gauge_parameter(y, v)
     space = v.space
     variant = v.variant
@@ -344,8 +279,7 @@ def class_residual_identity(x: LambdaElement) -> bool:
     pairing the candidates are odd blocks, exp(x) collapses to 1 + x,
     and the computation degenerates to delta(exp(x)) = dx; that is the
     form verified there."""
-    if x.parity() not in (candidate_parity(x.space), None):
-        raise UsageError("identity applies to candidate-parity elements")
+    check_parity(x, candidate_parity(x.space), "the identity's element")
     prof = x.profile
     cx = exp_chain(x)
     lhs = chain_delta(cx)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .bialgebra import CobracketValue, bracket, cobracket
+from .bialgebra import CobracketValue, bracket, bracket_combo, cobracket
 from .cecomplex import (LambdaElement, TruncationProfile, filtration_order,
                         raw_bracket, unbounded_profile, variant_cut)
 from .errors import (IntegrityError, PreconditionError, SliceRangeError,
@@ -27,7 +27,7 @@ from .errors import (IntegrityError, PreconditionError, SliceRangeError,
 from .linalg import (BasisSlice, TensorSliceSpec, WordSliceSpec,
                      enumerate_basis, homology_dims, matrix_of_operator,
                      solve_and_kernel)
-from .mc import MCCandidate, candidate_parity, mc_residual
+from .mc import MCCandidate, candidate_parity, check_parity, mc_residual
 from .space import SymplecticSpace
 from .words import Hamiltonian
 
@@ -83,9 +83,7 @@ class MCState:
             if any(filtration_order(k) != i for k in part.terms):
                 raise UsageError(
                     f"component {i} is not homogeneous of filtration order {i}")
-            p = part.parity()
-            if p is not None and p != want:
-                raise UsageError(f"component {i} has parity {p}, want {want}")
+            check_parity(part, want, f"component {i}")
         for k in base.terms:
             if k[0] or k[1] or len(k[2]) != 1:
                 raise UsageError("the base component must be a sum of "
@@ -202,19 +200,6 @@ class HochschildReport:
         return out
 
 
-def _word_op(space, h_terms):
-    from .bialgebra import bracket_raw
-
-    def op(word):
-        acc: dict = {}
-        for hw, hc in h_terms.items():
-            terms, _s = bracket_raw(space, hw, word)
-            for w, c in terms.items():
-                acc[w] = acc.get(w, Fraction(0)) + hc * c
-        return {w: c for w, c in acc.items() if c}
-    return op
-
-
 def hochschild_cohomology(h: Hamiltonian,
                           constraints: WordSliceSpec) -> HochschildReport:
     """Kernel mod image of ad(h) on the word slice, graded by length when
@@ -225,7 +210,9 @@ def hochschild_cohomology(h: Hamiltonian,
     if shift is None:
         raise UsageError("ad(h) mixes word lengths; analyze "
                          "length-homogeneous parts separately")
-    op = _word_op(space, h.terms)
+
+    def op(word):
+        return bracket_combo(space, h.terms, {word: Fraction(1)})[0]
     dims: dict = {}
     reps: dict = {}
 

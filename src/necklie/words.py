@@ -111,14 +111,6 @@ class Hamiltonian:
     def is_zero(self) -> bool:
         return not self.terms and self.scalar == 0
 
-    def min_word_length(self, i: int) -> "Hamiltonian":
-        """The h_{>=i} part: scalar dropped, words shorter than i dropped."""
-        kept = {w: c for w, c in self.terms.items() if len(w) >= i}
-        return Hamiltonian(self.space, kept, Fraction(0), self.max_length)
-
-    def in_h_geq(self, i: int) -> bool:
-        return self.scalar == 0 and all(len(w) >= i for w in self.terms)
-
     def parity(self):
         """Common parity of all stored words, or None if mixed or zero."""
         pars = {self.space.word_parity(w) for w in self.terms}

@@ -217,6 +217,14 @@ def dense_solve(rows, rhs=None):
             "kernel": kernel, "consistent": consistent}
 
 
+def dense_rows(matrix):
+    """Row lists of a SparseRationalMatrix, zeros filled in."""
+    rows = [[Fraction(0)] * matrix.cols for _ in range(matrix.rows)]
+    for (r, c), v in matrix.entries.items():
+        rows[r][c] = v
+    return rows
+
+
 def mat_vec(rows, vec):
     return [sum((Fraction(v) * x for v, x in zip(row, vec)),
                 Fraction(0)) for row in rows]

@@ -368,5 +368,3 @@ def test_profile_validation():
         TruncationProfile(L=1, K=0, G=1, N=0)
     prof = TruncationProfile(L=2, K=2, G=1, N=1)
     assert prof.P == 2 * 1 + 1 + 2 - 1
-    assert TruncationProfile(L=2, K=2, G=1, N=1, P=2).coarser_than(prof)
-    assert not prof.coarser_than(TruncationProfile(L=2, K=2, G=1, N=1, P=2))

@@ -29,6 +29,19 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert code == 2 and "drop --space" in err
 
 
+def test_flags_no_handler_reads_are_refused(capsys):
+    """Each subcommand takes only the shared flags its handler reads."""
+    assert run(capsys, "hochschild", "1 w[x,x]", "--space", SPACE_2D,
+               "--variant", "lg")[0] == 2
+    assert run(capsys, "bracket", "1 w[t,t,t]", "1 w[t]",
+               "--seed", "3")[0] == 2
+    assert run(capsys, "constraint", "1 w[t,t,t]",
+               "--trunc", "3,2,1,1")[0] == 2
+    code, out, _ = run(capsys, "axioms", "--max-length", "2", "--samples",
+                       "3", "--seed", "5", "--format", "json")
+    assert code == 0 and json.loads(out)["seed"] == 5
+
+
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "lift", "--help")[0] == 0

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from necklie import (LambdaElement, PreconditionError, TruncationProfile,
-                     UsageError, char_class, embed_element, gauge_act,
-                     homotopy_check, mc_residual)
+                     UsageError, char_class, embed_element, embed_hamiltonian,
+                     gauge_act, general_solution_sample, homotopy_check,
+                     mc_residual)
 from necklie.chains import chain_delta, chain_mul
 from necklie.mc import (MCCandidate, as_candidate, candidate_parity,
-                        class_residual_identity, element_of_hamiltonian,
-                        exp_chain, hamiltonian_of_element)
+                        class_residual_identity, exp_chain)
 from necklie.words import Hamiltonian
 
 F = Fraction
@@ -22,16 +22,32 @@ def elem(space, variant, terms, L=9, K=3, G=2, N=2, P=4):
                          {k: F(c) for k, c in terms.items()})
 
 
+def single_words(space, terms):
+    """Single-word data in the hq2 slice, with the caps L=6, K=1, G=1,
+    N=0, P=1 the golden values were computed in."""
+    return embed_hamiltonian(Hamiltonian(space, terms), "hq2",
+                             TruncationProfile(L=6, K=1, G=1, N=0, P=1))
+
+
 def test_candidate_parity_rules(sp1, sp2):
     assert candidate_parity(sp1) == 1      # even pairing, odd candidates
     assert candidate_parity(sp2) == 0
     as_candidate(elem(sp1, "lgv", {(0, 0, ((0, 0, 0),)): 1}))
     as_candidate(elem(sp2, "lgv", {(0, 0, ((X, X),)): 2}))
     as_candidate(elem(sp1, "lgv", {}))     # zero is vacuously homogeneous
+    # a flat one-generator sample mixing term parities 0 and 1 passes
+    mixed = general_solution_sample({(0, (1, 2)): 3, (1, (1,)): F(1, 5)},
+                                     TruncationProfile(L=5, K=2, G=1))
+    assert mixed.parity() is None
+    as_candidate(mixed)
+    cand = as_candidate(single_words(sp2, {(X, X): 1}))
+    assert as_candidate(cand) is cand      # idempotent wrapper
     with pytest.raises(UsageError):
         MCCandidate(elem(sp1, "lgv", {(0, 1, ((0,),)): 1}))    # even in 1-d
     with pytest.raises(UsageError):
-        MCCandidate(Hamiltonian(sp2, {(XI,): F(1)}))           # odd in 2-d
+        MCCandidate(elem(sp2, "lgv", {(0, 0, ((X, X, XI),)): 1}))  # odd in 2-d
+    with pytest.raises(UsageError):        # single words enter embedded
+        MCCandidate(Hamiltonian(sp2, {(X, X): F(1)}))
     with pytest.raises(UsageError):
         MCCandidate("not an element")
 
@@ -43,20 +59,8 @@ def test_residual_goldens(sp1, sp2):
     assert mc_residual(elem(sp1, "lg", t3)).is_zero()
     assert mc_residual(elem(sp1, "hq2", t3)).is_zero()
     assert mc_residual(elem(sp2, "lgv", {(0, 0, ((X, X),)): 2})).is_zero()
-    h = Hamiltonian(sp2, {(X, X): F(2)}, max_length=6)
-    rh = mc_residual(h)
-    assert isinstance(rh, Hamiltonian) and rh.terms == {} and rh.scalar == 0
-
-
-def test_hamiltonian_element_round_trip(sp2):
-    h = Hamiltonian(sp2, {(X, X, XI): F(2), (X, X): F(-1)})
-    e = element_of_hamiltonian(h)
-    assert e.variant == "hq2"
-    assert hamiltonian_of_element(e).terms == h.terms
-    with pytest.raises(UsageError):
-        hamiltonian_of_element(elem(sp2, "lgv", {(0, 0, ((X, X),)): 1}))
-    cand = as_candidate(h.scale(0) + Hamiltonian(sp2, {(X, X): F(1)}))
-    assert as_candidate(cand) is cand      # idempotent wrapper
+    rh = mc_residual(single_words(sp2, {(X, X): F(2)}))
+    assert isinstance(rh, LambdaElement) and rh.terms == {}
 
 
 def test_gauge_parameter_validation(sp1, sp2):
@@ -95,16 +99,16 @@ def test_gauge_flow_is_trivial_in_one_dim_lg(sp1):
 
 
 def test_gauge_flow_hamiltonian_golden(sp2):
-    x = Hamiltonian(sp2, {(X, X): F(2)}, max_length=6)
-    y = Hamiltonian(sp2, {(X, X, XI): F(1)})
+    x = single_words(sp2, {(X, X): F(2)})
+    y = single_words(sp2, {(X, X, XI): F(1)})
     flowed = gauge_act(y, x)
-    assert isinstance(flowed.value, Hamiltonian)
+    assert flowed.value.variant == "hq2"
     assert flowed.value.terms == {
-        (X, X): F(2),
-        (X, X, X): F(4),
-        (X, X, X, X): F(6),
-        (X, X, X, X, X): F(8),
-        (X, X, X, X, X, X): F(10),
+        (0, 0, ((X, X),)): F(2),
+        (0, 0, ((X, X, X),)): F(4),
+        (0, 0, ((X, X, X, X),)): F(6),
+        (0, 0, ((X, X, X, X, X),)): F(8),
+        (0, 0, ((X, X, X, X, X, X),)): F(10),
     }
     assert mc_residual(flowed).terms == {}
 

@@ -96,9 +96,6 @@ def test_hamiltonian_parity_and_slices(sp2):
     h = Hamiltonian(sp2, {(0,): 1, (0, 0, 1): 1})
     assert h.parity() is None                 # mixed
     assert Hamiltonian(sp2, {(0, 1): 1}).parity() == 1
-    assert h.min_word_length(3).terms == {(0, 0, 1): Fraction(1)}
-    assert not h.in_h_geq(2)
-    assert h.min_word_length(2).in_h_geq(2)
 
 
 def test_hamiltonian_add_and_scale(sp1):
