@@ -13,6 +13,14 @@ the sign moving the second letter out past "between".  The ordered-pair
 sum with the global 1/2 realizes the symmetrized splitting; sides that
 come out empty are kept as explicit Empty markers here and turn into the
 deformation letter nu only inside the CE complex.
+
+``bracket_raw`` and ``cobracket_raw`` validate their words, then memoize
+their whole result in the space's ``memo`` keyed by the words, for the
+life of the space instance, and return read-only mappings
+(``types.MappingProxyType``) that every caller shares.
+They canonicalize through ``words._canonical`` and call none of the
+functions ``bench/spans.py`` traces, so a hit skips no traced call that a
+miss would make.
 """
 
 from __future__ import annotations
@@ -20,23 +28,29 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import UsageError
 from .space import SymplecticSpace
-from .words import (Hamiltonian, accumulate, canonical_words, normalize_word,
-                    rotations)
+from .words import (Hamiltonian, _canonical, accumulate, canonical_words,
+                    checked_word, rotations)
 
 
 def bracket_raw(space: SymplecticSpace, A, B):
     """Word-level bracket of two raw words.
 
-    Returns (terms, scalar): canonical-word coefficients plus the length-0
-    output coefficient, kept separate so callers choose its fate.
+    Returns (terms, scalar): read-only canonical-word coefficients plus the
+    length-0 output coefficient, kept separate so callers choose its fate.
     """
+    A, B = checked_word(space, A), checked_word(space, B)
+    key = ("bracket", A, B)
+    found = space.memo.get(key)
+    if found is not None:
+        return found
     out: dict = {}
     scalar = Fraction(0)
-    rots_a = list(rotations(space, A))
-    rots_b = list(rotations(space, B))
+    rots_a = rotations(space, A)
+    rots_b = rotations(space, B)
     n, m = len(A), len(B)
     for i in range(n):
         for j in range(m):
@@ -50,11 +64,12 @@ def bracket_raw(space: SymplecticSpace, A, B):
             if not glue:
                 scalar += coeff
                 continue
-            nm = normalize_word(space, glue)
+            nm = _canonical(space, glue)
             if nm is None:
                 continue
             accumulate(out, nm[0], coeff * nm[1])
-    return out, scalar
+    found = space.memo[key] = (MappingProxyType(out), scalar)
+    return found
 
 
 def bracket_combo(space: SymplecticSpace, a: dict, b: dict):
@@ -72,10 +87,16 @@ def bracket_combo(space: SymplecticSpace, a: dict, b: dict):
 
 
 def cobracket_raw(space: SymplecticSpace, W):
-    """Word-level cobracket: dict (left, right) -> coeff, None = empty side."""
+    """Word-level cobracket: read-only (left, right) -> coeff, None = empty
+    side."""
+    W = checked_word(space, W)
+    key = ("cobracket", W)
+    found = space.memo.get(key)
+    if found is not None:
+        return found
     out: dict = {}
     n = len(W)
-    rots = list(rotations(space, W))
+    rots = rotations(space, W)
     for i in range(n):
         seq, sign_i = rots[i]
         for dj in range(1, n):
@@ -89,14 +110,15 @@ def cobracket_raw(space: SymplecticSpace, W):
             s = (-1) ** (space.parities[wj] *
                          (sum(space.parities[x] for x in between) & 1))
             coeff = Fraction(1, 2) * w * sign_i * s
-            nl = normalize_word(space, between) if between else ((), 1)
-            nr = normalize_word(space, after) if after else ((), 1)
+            nl = _canonical(space, between) if between else ((), 1)
+            nr = _canonical(space, after) if after else ((), 1)
             if nl is None or nr is None:
                 continue
             left = nl[0] if between else None
             right = nr[0] if after else None
             accumulate(out, (left, right), coeff * nl[1] * nr[1])
-    return out
+    found = space.memo[key] = MappingProxyType(out)
+    return found
 
 
 def cobracket_combo(space: SymplecticSpace, a: dict):

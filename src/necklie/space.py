@@ -62,7 +62,18 @@ def _invert(matrix):
 
 @dataclass(frozen=True)
 class SymplecticSpace:
-    """Ordered generators with parities and an invertible graded pairing."""
+    """Ordered generators with parities and an invertible graded pairing.
+
+    ``memo`` is the word layer's memo for this instance: the canonical
+    rotation and sign of each letter sequence, the rotation list of each
+    word, and the whole result of each word bracket and word cobracket
+    (``words`` and ``bialgebra`` fill it).  Keys are word tuples only,
+    never coefficients, so the memo grows with the distinct words used,
+    not with the number of calls.  It starts empty, is never shared, and
+    lives and dies with the instance; it takes no part in equality or
+    hashing.  Memoized results are read-only, and a memoized function
+    calls none of the functions ``bench/spans.py`` traces.
+    """
 
     names: tuple[str, ...]
     parities: tuple[int, ...]
@@ -70,6 +81,8 @@ class SymplecticSpace:
     form_parity: int
     omega: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False,
                                                     compare=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     def __post_init__(self):
         n = len(self.names)

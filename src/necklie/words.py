@@ -7,6 +7,16 @@ representative is the lexicographically smallest rotation, ties broken by
 the earliest rotation offset.  A word some rotation of which reproduces
 the same letter sequence with accumulated sign -1 is zero and cannot be
 stored; for a single odd generator this kills exactly the even lengths.
+
+Canonical rotations and rotation lists are memoized, as immutable tuples,
+in the space's ``memo`` (see ``SymplecticSpace``), keyed by the letter
+tuple, so each is computed once for the life of the space instance.
+``_canonical`` owns the rotation rule and ``normalize_word`` is its
+validating public boundary.  A memoized function calls none of the
+functions ``bench/spans.py`` traces, so a traced caller makes the same
+traced calls on a cold space as on a warm one.  Validation always runs
+before a lookup: ``(0.0,)`` hashes like ``(0,)``, and a hit must not
+accept what a miss would reject.
 """
 
 from __future__ import annotations
@@ -21,32 +31,55 @@ from .space import SymplecticSpace
 Word = tuple  # tuple of generator indices
 
 
-def rotations(space: SymplecticSpace, letters):
-    """Yield (rotated word, accumulated Koszul sign) for every left rotation."""
-    cur = tuple(letters)
-    sign = 1
-    for _ in range(len(cur)):
-        yield cur, sign
-        head = cur[0]
-        rest_parity = sum(space.parities[g] for g in cur[1:]) & 1
-        sign *= (-1) ** (space.parities[head] * rest_parity)
-        cur = cur[1:] + (head,)
+def checked_word(space: SymplecticSpace, letters) -> Word:
+    """The letters as a tuple, or UsageError unless they form a nonempty
+    word of valid generator indices."""
+    letters = tuple(letters)
+    if not letters:
+        raise UsageError("a word needs at least one letter")
+    size = space.size
+    for g in letters:
+        if not isinstance(g, int) or not 0 <= g < size:
+            raise UsageError(f"invalid generator index: {g!r}")
+    return letters
+
+
+def rotations(space: SymplecticSpace, letters: Word):
+    """Every left rotation of a word of valid indices, as a memoized tuple
+    of (rotated word, accumulated Koszul sign) in order of offset."""
+    key = ("rotations", letters)
+    found = space.memo.get(key)
+    if found is None:
+        pars = space.parities
+        total = space.word_parity(letters)
+        out = []
+        cur, sign = letters, 1
+        for head in letters:
+            out.append((cur, sign))
+            # the head moves past the rest of the word
+            sign *= (-1) ** (pars[head] * ((total - pars[head]) & 1))
+            cur = cur[1:] + (head,)
+        found = space.memo[key] = tuple(out)
+    return found
+
+
+def _canonical(space: SymplecticSpace, letters: Word):
+    """Memoized canonical rotation of a nonempty tuple of valid indices
+    with its sign, or None for the zero word."""
+    key = ("canonical", letters)
+    found = space.memo.get(key, key)   # None is a stored result
+    if found is key:
+        rots = rotations(space, letters)
+        best = min(w for w, _ in rots)
+        signs = {s for w, s in rots if w == best}
+        found = (best, signs.pop()) if len(signs) == 1 else None
+        space.memo[key] = found
+    return found
 
 
 def normalize_word(space: SymplecticSpace, letters):
     """Canonical rotation of a word with its sign, or None for the zero word."""
-    letters = tuple(letters)
-    if not letters:
-        raise UsageError("the empty word has no canonical form")
-    for g in letters:
-        if not isinstance(g, int) or not 0 <= g < space.size:
-            raise UsageError(f"invalid generator index: {g!r}")
-    rots = list(rotations(space, letters))
-    best = min(w for w, _ in rots)
-    signs = [s for w, s in rots if w == best]
-    if any(s != signs[0] for s in signs):
-        return None
-    return best, signs[0]
+    return _canonical(space, checked_word(space, letters))
 
 
 def accumulate(terms: dict, key, coeff: Fraction) -> None:

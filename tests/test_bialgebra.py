@@ -1,14 +1,17 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from necklie import (Hamiltonian, UsageError, bracket,
-                     check_bialgebra_axioms, cobracket)
+from necklie import (Hamiltonian, SymplecticSpace, UsageError, bracket,
+                     check_bialgebra_axioms, cobracket, normalize_word,
+                     one_dim_space, two_dim_space)
 from necklie.bialgebra import bracket_raw, cobracket_raw
-from necklie.words import canonical_words
+from necklie.words import canonical_words, rotations
 
-from oracles import omega_matrix, oracle_bracket, oracle_cobracket
+from oracles import (canonical_by_swaps, linear_rotations, omega_matrix,
+                     oracle_bracket, oracle_cobracket)
 
 X, XI = (0,), (1,)
 
@@ -138,3 +141,84 @@ def test_axiom_suite_is_seed_deterministic(sp2):
     b = check_bialgebra_axioms(sp2, max_length=4, samples=10, seed=5)
     assert [(r.name, r.checked) for r in a.results.values()] == \
            [(r.name, r.checked) for r in b.results.values()]
+
+
+# ---------------------------------------------------------------------------
+# the word-layer memo each space owns
+
+
+def _halved_one_dim_space():
+    """Like one_dim_space, but <t,t> = 2, so every pairing is halved."""
+    return SymplecticSpace(("t",), (1,), ((Fraction(2),),), 0)
+
+
+def _three_generator_space():
+    """Odd a with <a,a> = 1 beside even p, q with <p,q> = 1 = -<q,p>."""
+    z, o = Fraction(0), Fraction(1)
+    return SymplecticSpace(("a", "p", "q"), (1, 0, 0),
+                           ((o, z, z), (z, z, o), (z, -o, z)), 0)
+
+
+def test_word_operations_reject_invalid_words():
+    """Indices are checked before the memo is consulted: -1 would wrap to
+    the last generator, and (0.0,) hashes like the cached (0,)."""
+    sp = two_dim_space()
+    assert bracket_raw(sp, (0,), (0, 1))[0] == {(0,): 1}
+    assert cobracket_raw(sp, (0, 1, 1))
+    for bad in ((-1,), (2,), (0.0,), (), (0, "x")):
+        with pytest.raises(UsageError):
+            bracket_raw(sp, bad, (0,))
+        with pytest.raises(UsageError):
+            bracket_raw(sp, (0, 1), bad)
+        with pytest.raises(UsageError):
+            cobracket_raw(sp, bad)
+    with pytest.raises(UsageError):
+        bracket_raw(sp, (0.0,), (0.0, 1.0))
+    with pytest.raises(UsageError):
+        cobracket_raw(sp, (0.0, 1.0, 1.0))
+
+
+def test_memo_belongs_to_the_instance_not_its_id():
+    """Fresh spaces reuse the ids of dropped ones; their brackets differ."""
+    for round_ in range(50):
+        if round_ % 2:
+            space, want = _halved_one_dim_space(), Fraction(1, 2)
+        else:
+            space, want = one_dim_space(), Fraction(1)
+        terms, scalar = bracket_raw(space, (0,), (0,))
+        assert terms == {} and scalar == want, round_
+        del space   # freed before the next one is built, which takes its id
+
+
+def test_hits_and_misses_match_the_oracles():
+    """Each input twice on a fresh space: a miss, then a hit."""
+    for space, bound in ((one_dim_space(), 7), (_halved_one_dim_space(), 7),
+                         (two_dim_space(), 4), (_three_generator_space(), 3)):
+        pars = space.parities
+        om = omega_matrix([list(row) for row in space.form])
+        seqs = [seq for n in range(1, bound + 1)
+                for seq in product(range(space.size), repeat=n)]
+        for _ in range(2):
+            for seq in seqs:
+                assert normalize_word(space, seq) == \
+                    canonical_by_swaps(pars, seq), seq
+                assert list(rotations(space, seq)) == \
+                    linear_rotations(pars, seq), seq
+                assert cobracket_raw(space, seq) == \
+                    oracle_cobracket(pars, om, seq), seq
+        words = canonical_words(space, bound)
+        for _ in range(2):
+            for a in words:
+                for b in words:
+                    assert bracket_raw(space, a, b) == \
+                        oracle_bracket(pars, om, a, b), (a, b)
+
+
+def test_memoized_results_are_read_only(sp2):
+    terms, _scalar = bracket_raw(sp2, (0, 0), (0, 1))
+    with pytest.raises(TypeError):
+        terms[(0,)] = Fraction(5)
+    pairs = cobracket_raw(sp2, (0, 0, 1, 1))
+    with pytest.raises(TypeError):
+        del pairs[((0, 1), None)]
+    assert bracket_raw(sp2, (0, 0), (0, 1))[0] == {(0, 0): Fraction(2)}

@@ -63,6 +63,26 @@ def test_bracket_and_cobracket_text(capsys):
     assert code == 0 and out.strip() == "2 * w[x]"
 
 
+def test_fresh_spaces_in_turn_get_their_own_brackets(capsys, tmp_path):
+    """Each request loads a new space, now and then at the address of the
+    one before; a memo keyed by id(space) answered for the wrong space."""
+    with open(SPACE_2D, encoding="utf-8") as fh:
+        scaled = json.load(fh)
+    scaled["form"] = [["0", "2"], ["-2", "0"]]
+    scaled_path = tmp_path / "2d-scaled.json"
+    scaled_path.write_text(json.dumps(scaled), encoding="utf-8")
+    requests = [
+        (["1 w[t,t,t]", "1 w[t]", "--space", "spaces/1d.json"], "0"),
+        (["1 w[x,x]", "1 w[xi]", "--space", SPACE_2D], "2 * w[x]"),
+        (["1 w[x,x]", "1 w[xi]", "--space", str(scaled_path)], "1 * w[x]"),
+    ]
+    for round_ in range(40):
+        for args, want in requests:
+            code, out, _ = run(capsys, "bracket", *args, "--format", "json")
+            assert code == 0
+            assert json.loads(out)["result"]["expr"] == want, (round_, args)
+
+
 def test_diff_and_mc_check(capsys):
     code, out, _ = run(capsys, "diff", "1 w[t,t,t]")
     assert code == 0 and out.strip() == "3 * v^1 * w[t]"

@@ -5,7 +5,7 @@ import pytest
 from necklie import (Hamiltonian, LambdaElement, PreconditionError,
                      TruncationProfile, UsageError, canonical_words,
                      hochschild_cohomology, kunneth_check, lift,
-                     quantum_constraint_check)
+                     one_dim_space, quantum_constraint_check)
 from necklie.cecomplex import raw_bracket
 from necklie.linalg import (TensorSliceSpec, WordSliceSpec, enumerate_basis,
                             matrix_of_operator)
@@ -237,3 +237,14 @@ def test_obstruction_cocycle_is_adjoint_closed(sp1, t3):
     o = rep.cocycle
     glue = raw_bracket(sp1, {(0, 0, ((0, 0, 0),)): F(1)}, o.terms)
     assert not any(glue.values())
+
+
+def test_memo_keys_carry_no_coefficients():
+    """A second lift with the same words and new coefficients is all hits."""
+    space = one_dim_space()
+    lift(Hamiltonian(space, {(0, 0, 0): F(1), (0,) * 5: F(2, 3)}), 2, "lg")
+    filled = len(space.memo)
+    assert filled
+    lift(Hamiltonian(space, {(0, 0, 0): F(-5, 7), (0,) * 5: F(11, 3)}), 2,
+         "lg")
+    assert len(space.memo) == filled

@@ -78,6 +78,10 @@ def test_normalize_rejects_bad_input(sp1):
         normalize_word(sp1, ())
     with pytest.raises(UsageError):
         normalize_word(sp1, (3,))
+    # (0.0,) hashes like (0,), whose canonical form is memoized by now
+    assert normalize_word(sp1, (0,)) == ((0,), 1)
+    with pytest.raises(UsageError):
+        normalize_word(sp1, (0.0,))
 
 
 def test_hamiltonian_merges_rotations(sp2):
