@@ -9,17 +9,23 @@ exponent is at least 2; nothing else is normalized.  The filtration order
 2g + n + k - 1 is known before any word is drawn, so an order cut picks
 the factor count instead of filtering the whole profile.
 
-Elimination is fraction-free in the Bareiss style: each step applies the
-two-term update (a_ij * p - a_ik * a_kj) / p_prev whose division is exact,
-with the pivot chosen by a minimal-fill (Markowitz) heuristic over the
-sparse entries.  Correctness, not speed, is the contract; a naive dense
-oracle lives in the test tree for cross-checking.
+Elimination is sparse Gaussian elimination over Fraction.  The pivot is
+the entry with the least Markowitz (1957) key ((row nnz - 1) * (col nnz -
+1), col, row), kept in a lazy heap: after a pivot only the entries whose
+row or column count changed get fresh keys, and stale keys are dropped
+when popped.  A pivot updates only the rows with a nonzero in its column;
+the others are not touched.  The kernel is built on first read, by one
+triangular solve per free column that visits only the pivot rows it
+reaches (Gilbert and Peierls, 1988).  Correctness, not speed, is the
+contract; a naive dense oracle lives in the test tree for cross-checking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
 
 from .cecomplex import TruncationProfile, tensor_parity, variant_complaint
@@ -157,22 +163,12 @@ class SparseRationalMatrix:
         if self.cols != other.rows:
             raise UsageError("dimension mismatch in composition")
         by_row: dict = {}
-        for (r, k), v in self.entries.items():
-            by_row.setdefault(r, []).append((k, v))
-        by_col: dict = {}
-        for (k, c), v in other.entries.items():
-            by_col.setdefault(c, []).append((k, v))
+        for (k, c), w in other.entries.items():
+            by_row.setdefault(k, []).append((c, w))
         out: dict = {}
-        for c, col_items in by_col.items():
-            col = dict(col_items)
-            for r, row_items in by_row.items():
-                s = Fraction(0)
-                for k, v in row_items:
-                    w = col.get(k)
-                    if w is not None:
-                        s += v * w
-                if s:
-                    out[(r, c)] = s
+        for (r, k), v in self.entries.items():
+            for c, w in by_row.get(k, ()):
+                out[(r, c)] = out.get((r, c), 0) + v * w
         return SparseRationalMatrix(self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
@@ -207,144 +203,166 @@ def matrix_of_operator(op, domain: BasisSlice,
 
 @dataclass
 class SolveResult:
+    """Rank, solve data and kernel of one elimination of M.
+
+    ``particular`` solves M x = b when b was given and is consistent; it is
+    zero on the free (non-pivot) columns.  When b is inconsistent,
+    ``certificate`` is some y with y.M = 0 and y.b != 0, with no
+    normalisation: any nonzero multiple proves the same.
+
+    ``kernel`` spans ker M with one vector per free column, in increasing
+    column order; each is 1 at its own free column and 0 at the other free
+    columns.  It is built from the eliminated rows on first read and is a
+    list of dense column vectors; ``sparse_kernel`` holds the same vectors
+    as {column: value} dicts without zeros.
+    """
     rank: int
-    kernel: list               # list of column vectors spanning ker M
     particular: list | None    # a solution of M x = b, if requested and solvable
     no_solution: bool = False
     certificate: list | None = None   # y with y.M = 0 and y.b != 0
+    _pivots: list = field(default_factory=list, repr=False, compare=False)
+    _cols: int = field(default=0, repr=False, compare=False)
 
     @property
     def solvable(self) -> bool:
         return not self.no_solution
 
+    @cached_property
+    def sparse_kernel(self) -> list:
+        """One triangular solve per free column over the pivot rows
+        (pivot column, row) it reaches, latest pivot first."""
+        pivots = self._pivots
+        holders: dict = {}           # column -> pivots whose rows hold it
+        for k, (pc, prow) in enumerate(pivots):
+            for c in prow:
+                if c != pc:
+                    holders.setdefault(c, []).append(k)
+        pivot_cols = {pc for pc, _ in pivots}
+        out = []
+        for fc in range(self._cols):
+            if fc in pivot_cols:
+                continue
+            reached, stack = set(), [fc]
+            while stack:
+                for k in holders.get(stack.pop(), ()):
+                    if k not in reached:
+                        reached.add(k)
+                        stack.append(pivots[k][0])
+            vec = {fc: Fraction(1)}
+            for k in sorted(reached, reverse=True):
+                pc, prow = pivots[k]
+                acc = sum(v * vec[c] for c, v in prow.items() if c in vec)
+                if acc:
+                    vec[pc] = -acc / prow[pc]
+            out.append(vec)
+        return out
 
-def _pick_pivot(rows_nnz, cols_nnz, row_data):
-    """Markowitz minimal-fill pivot: minimize (nnz_row-1)*(nnz_col-1)."""
-    best = None
-    for r, cols in row_data.items():
-        rn = rows_nnz[r]
-        for c in cols:
-            score = (rn - 1) * (cols_nnz[c] - 1)
-            key = (score, c, r)
-            if best is None or key < best[0]:
-                best = (key, r, c)
-    if best is None:
-        return None
-    return best[1], best[2]
+    @cached_property
+    def kernel(self) -> list:
+        zero = Fraction(0)
+        return [[vec.get(c, zero) for c in range(self._cols)]
+                for vec in self.sparse_kernel]
 
 
 def solve_and_kernel(M: SparseRationalMatrix, b=None) -> SolveResult:
-    """Fraction-free elimination returning rank, kernel and solve data.
+    """Sparse Gaussian elimination of M with the module's pivot rule,
+    returning rank, solve data and a kernel built when read.
 
-    When b is supplied and inconsistent, the result carries a certificate
-    vector y with y.M = 0 and y.b != 0 built from the eliminated row.
+    When b is supplied, its entries and a row-operation tracker follow the
+    row updates; the tracked combination of the first row left reading
+    0 = nonzero is the certificate.
     """
     if b is not None and len(b) != M.rows:
         raise UsageError("right-hand side length does not match row count")
-    rows = {r: {} for r in range(M.rows)}
+    rows = {r: {} for r in range(M.rows)}        # the rows not yet pivots
+    col_rows: dict = {}                          # column -> rows holding it
     for (r, c), v in M.entries.items():
         rows[r][c] = v
+        col_rows.setdefault(c, set()).add(r)
     rhs = [Fraction(x) for x in b] if b is not None else None
-    # row-operation tracker for the certificate
     track = ({r: {r: Fraction(1)} for r in range(M.rows)}
              if b is not None else None)
 
-    active_rows = set(range(M.rows))
-    active_cols = set(range(M.cols))
-    prev_pivot = Fraction(1)
-    pivots = []                      # list of (row, col, value at elimination)
-
-    def nnz_maps():
-        rn = {r: len([c for c in rows[r] if c in active_cols])
-              for r in active_rows}
-        cn: dict = {}
-        for r in active_rows:
-            for c in rows[r]:
-                if c in active_cols:
-                    cn[c] = cn.get(c, 0) + 1
-        return rn, cn
-
-    while True:
-        candidates = {r: [c for c in rows[r] if c in active_cols]
-                      for r in active_rows}
-        candidates = {r: cs for r, cs in candidates.items() if cs}
-        if not candidates:
-            break
-        rn, cn = nnz_maps()
-        pick = _pick_pivot(rn, cn, candidates)
-        if pick is None:
-            break
-        pr, pc = pick
-        pval = rows[pr][pc]
-        # Bareiss update of every other active row, including rows with a
-        # zero in the pivot column (pure rescale); divisions are exact
-        for r in active_rows:
-            if r == pr:
-                continue
-            factor = rows[r].get(pc, Fraction(0))
-            new_row = {}
-            cols_union = set(rows[r]) | (set(rows[pr]) if factor else set())
-            for c in cols_union:
+    heap = [((len(rows[r]) - 1) * (len(col_rows[c]) - 1), c, r)
+            for r, c in M.entries]
+    heapify(heap)
+    pivots = []                      # (row, col, row entries) in pivot order
+    while heap:
+        score, pc, pr = heappop(heap)
+        prow = rows.get(pr)
+        if (prow is None or pc not in prow
+                or score != (len(prow) - 1) * (len(col_rows[pc]) - 1)):
+            continue
+        del rows[pr]
+        pivots.append((pr, pc, prow))
+        touched = col_rows.pop(pc)
+        touched.discard(pr)
+        for c in prow:
+            if c != pc:
+                col_rows[c].discard(pr)
+        pval = prow[pc]
+        for r in touched:
+            row = rows[r]
+            f = row.pop(pc) / pval
+            for c, v in prow.items():
                 if c == pc:
                     continue
-                val = (rows[r].get(c, Fraction(0)) * pval
-                       - factor * rows[pr].get(c, Fraction(0))) / prev_pivot
-                if val:
-                    new_row[c] = val
-            rows[r] = new_row
+                old = row.get(c)
+                if old is None:
+                    row[c] = -f * v
+                    col_rows[c].add(r)
+                else:
+                    new = old - f * v
+                    if new:
+                        row[c] = new
+                    else:
+                        del row[c]
+                        col_rows[c].discard(r)
             if rhs is not None:
-                rhs[r] = (rhs[r] * pval - factor * rhs[pr]) / prev_pivot
-            if track is not None:
-                updated = {}
-                for k in set(track[r]) | (set(track[pr]) if factor else set()):
-                    val = (track[r].get(k, Fraction(0)) * pval
-                           - factor * track[pr].get(k, Fraction(0))) / prev_pivot
-                    if val:
-                        updated[k] = val
-                track[r] = updated
-        pivots.append((pr, pc, pval))
-        active_rows.discard(pr)
-        active_cols.discard(pc)
-        prev_pivot = pval
-
-    rank = len(pivots)
+                rhs[r] -= f * rhs[pr]
+                tr = track[r]
+                for k, v in track[pr].items():
+                    new = tr.get(k, 0) - f * v
+                    if new:
+                        tr[k] = new
+                    else:
+                        del tr[k]
+        # fresh keys: every entry of a column of the pivot row, whose count
+        # changed, and the other entries of each updated row
+        for c in prow:
+            if c != pc:
+                cn = len(col_rows[c]) - 1
+                for r in col_rows[c]:
+                    heappush(heap, ((len(rows[r]) - 1) * cn, c, r))
+        for r in touched:
+            rn = len(rows[r]) - 1
+            for c in rows[r]:
+                if c not in prow:
+                    heappush(heap, (rn * (len(col_rows[c]) - 1), c, r))
 
     no_solution = False
     certificate = None
-    if rhs is not None:
-        for r in active_rows:
-            live = {c: v for c, v in rows[r].items()}
-            if not live and rhs[r] != 0:
-                no_solution = True
-                certificate = [track[r].get(k, Fraction(0))
-                               for k in range(M.rows)]
-                break
-
     particular = None
-    if rhs is not None and not no_solution:
-        particular = [Fraction(0)] * M.cols
-        for pr, pc, _ in reversed(pivots):
-            acc = rhs[pr]
-            for c, v in rows[pr].items():
-                if c != pc and particular[c]:
-                    acc -= v * particular[c]
-            particular[pc] = acc / rows[pr][pc]
+    if rhs is not None:
+        # every row left over is empty; the first with a nonzero right-hand
+        # side proves there is no solution
+        bad = next((r for r in rows if rhs[r]), None)
+        if bad is not None:
+            no_solution = True
+            certificate = [track[bad].get(k, Fraction(0))
+                           for k in range(M.rows)]
+        else:
+            x: dict = {}
+            for pr, pc, prow in reversed(pivots):
+                acc = rhs[pr] - sum(v * x[c] for c, v in prow.items()
+                                    if c in x)
+                if acc:
+                    x[pc] = acc / prow[pc]
+            particular = [x.get(c, Fraction(0)) for c in range(M.cols)]
 
-    kernel = []
-    pivot_cols = {pc: pr for pr, pc, _ in pivots}
-    free_cols = [c for c in range(M.cols) if c not in pivot_cols]
-    for fc in free_cols:
-        vec = [Fraction(0)] * M.cols
-        vec[fc] = Fraction(1)
-        for pr, pc, _ in reversed(pivots):
-            acc = Fraction(0)
-            for c, v in rows[pr].items():
-                if c != pc and vec[c]:
-                    acc -= v * vec[c]
-            vec[pc] = acc / rows[pr][pc]
-        kernel.append(vec)
+    return SolveResult(len(pivots), particular, no_solution, certificate,
+                       [(pc, prow) for _, pc, prow in pivots], M.cols)
 
-    return SolveResult(rank, kernel, particular, no_solution, certificate)
 
 
 @dataclass
@@ -366,7 +384,7 @@ def homology_dims(d_in: SparseRationalMatrix,
         raise UsageError("chain spaces of d_in and d_out do not match")
     if not d_out.compose(d_in).is_zero():
         raise IntegrityError("d_out composed with d_in is nonzero")
-    ker = solve_and_kernel(d_out).kernel
+    ker = solve_and_kernel(d_out).sparse_kernel
     # reduce the image columns and then each kernel vector against one
     # growing echelon basis; the image columns leave rank(d_in) rows, and a
     # kernel vector is a representative when it does not reduce to zero
@@ -378,8 +396,9 @@ def homology_dims(d_in: SparseRationalMatrix,
         _echelon_insert(echelon, col)
     rank_in = len(echelon)
     hom = len(ker) - rank_in
-    reps = [vec for vec in ker
-            if _echelon_insert(echelon, {i: v for i, v in enumerate(vec) if v})]
+    zero = Fraction(0)
+    reps = [[vec.get(i, zero) for i in range(d_out.cols)] for vec in ker
+            if _echelon_insert(echelon, dict(vec))]
     if len(reps) != hom:
         raise IntegrityError("representative count disagrees with dimensions")
     return HomologyResult(len(ker), rank_in, hom, reps)

@@ -217,6 +217,30 @@ def dense_solve(rows, rhs=None):
             "kernel": kernel, "consistent": consistent}
 
 
+def markowitz_free_columns(rows):
+    """Free columns of dense Gaussian elimination that pivots, at each
+    step, on the nonzero with the least Markowitz key ((row nnz - 1) *
+    (col nnz - 1), col, row) among the rows and columns not yet pivots,
+    found by scanning every entry."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    live_rows = set(range(len(a)))
+    live_cols = set(range(len(a[0]) if a else 0))
+    while True:
+        nonzero = [(r, c) for r in live_rows for c in live_cols if a[r][c]]
+        if not nonzero:
+            return sorted(live_cols)
+        rn = {r: sum(1 for c in live_cols if a[r][c]) for r in live_rows}
+        cn = {c: sum(1 for r in live_rows if a[r][c]) for c in live_cols}
+        _, pc, pr = min(((rn[r] - 1) * (cn[c] - 1), c, r)
+                        for r, c in nonzero)
+        for r in live_rows - {pr}:
+            if a[r][pc]:
+                f = a[r][pc] / a[pr][pc]
+                a[r] = [v - f * w for v, w in zip(a[r], a[pr])]
+        live_rows.discard(pr)
+        live_cols.discard(pc)
+
+
 def dense_rows(matrix):
     """Row lists of a SparseRationalMatrix, zeros filled in."""
     rows = [[Fraction(0)] * matrix.cols for _ in range(matrix.rows)]
@@ -226,7 +250,7 @@ def dense_rows(matrix):
 
 
 def mat_vec(rows, vec):
-    return [sum((Fraction(v) * x for v, x in zip(row, vec)),
+    return [sum((Fraction(v) * x for v, x in zip(row, vec) if v and x),
                 Fraction(0)) for row in rows]
 
 

@@ -29,8 +29,8 @@ from necklie.linalg import (SparseRationalMatrix, TensorSliceSpec,
                             matrix_of_operator, solve_and_kernel)
 from necklie.mc import as_candidate
 
-from oracles import (dense_solve, mat_vec, omega_matrix, oracle_bracket,
-                     oracle_cobracket)
+from oracles import (dense_solve, markowitz_free_columns, mat_vec,
+                     omega_matrix, oracle_bracket, oracle_cobracket)
 
 F = Fraction
 T3 = (0, 0, 0)
@@ -294,6 +294,15 @@ def test_criterion_10_oracle_equivalence():
             assert all(sum(y[r] * dense[r][c] for r in range(rows)) == 0
                        for c in range(cols)), trial
             assert sum(y[r] * b[r] for r in range(rows)) != 0, trial
+        assert all(not any(mat_vec(dense, vec)) for vec in got.kernel), trial
+        # kernel vectors are 1 at their own free column of the pivot rule
+        # and 0 at the others; the particular solution is 0 there
+        free = markowitz_free_columns(dense)
+        assert [[vec[f] for f in free] for vec in got.kernel] == [
+            [int(i == j) for j in range(len(free))]
+            for i in range(len(free))], trial
+        if got.solvable:
+            assert not any(got.particular[f] for f in free), trial
 
     checked = 0
     for space in (two_dim_space(), one_dim_space()):

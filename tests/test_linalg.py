@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 
 from necklie import (SliceRangeError, TruncationProfile, UsageError, bracket,
-                     enumerate_basis, matrix_of_operator, solve_and_kernel)
+                     enumerate_basis, matrix_of_operator, solve_and_kernel,
+                     two_dim_space)
 from necklie.cecomplex import filtration_order, normalize_tensor, tensor_parity
 from necklie.linalg import (BasisSlice, IntegrityError, SparseRationalMatrix,
                             TensorSliceSpec, WordSliceSpec, homology_dims)
+from necklie.obstruction import (MCState, _adjoint_op, _slices_at,
+                                 default_lift_profile, embed_hamiltonian)
 from necklie.words import Hamiltonian, canonical_words
 from oracles import (brute_force_tensor_slice, dense_rows, dense_solve,
-                     mat_vec, vec_mat)
+                     markowitz_free_columns, mat_vec, vec_mat)
 
 F = Fraction
 
@@ -24,10 +27,25 @@ def random_sparse(rng, rows, cols, density=Fraction(3, 10)):
     return SparseRationalMatrix(rows, cols, entries)
 
 
+def _order_one_obstruction_matrix():
+    """The 100x100 order-1 obstruction matrix of 3/2 w[x,x] on the
+    two-generator space (L=5, K=3, G=1, P=2) and its right-hand side."""
+    space = two_dim_space()
+    h = Hamiltonian(space, {(0, 0): F(3, 2)})
+    state = MCState([embed_hamiltonian(
+        h, "lg", default_lift_profile(space, "lg", 1))])
+    cand, obst = _slices_at(state, 1)
+    M = matrix_of_operator(_adjoint_op(space, state.components[0].terms,
+                                       "lg"), cand, obst)
+    o = state.residual().component_of_order(1)
+    return M, obst.vector_of({k: -c for k, c in o.terms.items()})
+
+
 def test_solver_against_dense_oracle():
-    """Seeded random systems up to 12x12, solved twice: fraction-free
-    sparse elimination vs the naive dense oracle."""
-    agreed = 0
+    """Seeded random systems up to 14x14 and the order-1 obstruction
+    system of a two-generator lift, solved twice: sparse elimination vs
+    the naive dense oracle."""
+    systems = []
     for seed in range(60):
         rng = random.Random(1000 + seed)
         rows = rng.randint(1, 12)
@@ -38,27 +56,58 @@ def test_solver_against_dense_oracle():
             b = mat_vec(dense_rows(M), x)   # consistent by construction
         else:
             b = [F(rng.randint(-3, 3)) for _ in range(rows)]
+        systems.append((seed, M, b))
+    # denser systems, where a pivot rule that ignored stale counts would
+    # pick other free columns on seeds 2016 and 2162
+    for seed in range(2000, 2200):
+        rng = random.Random(seed)
+        M = random_sparse(rng, rng.randint(1, 14), rng.randint(1, 14),
+                          rng.uniform(0.1, 0.6))
+        systems.append((seed, M, [F(rng.randint(-3, 3))
+                                  for _ in range(M.rows)]))
+    M, rhs = _order_one_obstruction_matrix()
+    assert (M.rows, M.cols) == (100, 100)
+    rng = random.Random(99)
+    image = mat_vec(dense_rows(M),
+                    [F(rng.randint(-3, 3)) for _ in range(M.cols)])
+    off_image = [F(rng.randint(-3, 3)) for _ in range(M.rows)]  # rank is 45
+    systems += [("obstruction", M, rhs), ("obstruction image", M, image),
+                ("obstruction off image", M, off_image)]
+    agreed = 0
+    for seed, M, b in systems:
         got = solve_and_kernel(M, b)
-        want = dense_solve(dense_rows(M), b)
-        assert got.rank == want["rank"]
-        assert len(got.kernel) == want["nullity"]
-        assert got.solvable == want["consistent"]
+        dense = dense_rows(M)
+        want = dense_solve(dense, b)
+        assert got.rank == want["rank"], seed
+        assert len(got.kernel) == want["nullity"], seed
+        assert got.solvable == want["consistent"], seed
         for vec in got.kernel:
-            assert not any(mat_vec(dense_rows(M), vec)), seed
+            assert not any(mat_vec(dense, vec)), seed
         if got.solvable:
-            assert mat_vec(dense_rows(M), got.particular) == b, seed
+            assert mat_vec(dense, got.particular) == b, seed
         else:
             y = got.certificate
             assert y is not None
-            assert not any(vec_mat(y, dense_rows(M))), seed
+            assert not any(vec_mat(y, dense)), seed
             assert sum(yi * bi for yi, bi in zip(y, b)) != 0, seed
+        # each kernel vector is 1 at its own free column and 0 at the
+        # others, and the particular solution is 0 there; the free columns
+        # are the pivot rule's, which makes both unique
+        free = markowitz_free_columns(dense)
+        assert [[vec[f] for f in free] for vec in got.kernel] == [
+            [int(i == j) for j in range(len(free))]
+            for i in range(len(free))], seed
+        if got.solvable:
+            assert not any(got.particular[f] for f in free), seed
+        assert got.sparse_kernel == [{c: v for c, v in enumerate(vec) if v}
+                                     for vec in got.kernel], seed
         # the kernel really spans: its vectors are independent
         if got.kernel:
             kmat = [[got.kernel[j][i] for j in range(len(got.kernel))]
-                    for i in range(cols)]
+                    for i in range(M.cols)]
             assert dense_solve(kmat)["rank"] == len(got.kernel)
         agreed += 1
-    assert agreed == 60
+    assert agreed == 263
 
 
 def test_solver_without_rhs_and_validation():
@@ -85,16 +134,44 @@ def test_sparse_matrix_basics():
 
 
 def test_compose_against_oracle():
+    """Sparse products equal dense ones and store no zero, including
+    entries of +-1 products that cancel and products with a kernel basis,
+    which vanish exactly."""
     rng = random.Random(21)
+
+    def signs(rows, cols):
+        return SparseRationalMatrix(rows, cols, {
+            (r, c): F(rng.choice((-1, 1))) for r in range(rows)
+            for c in range(cols) if rng.random() < 0.6})
+
+    cases = []
     for _ in range(15):
         A = random_sparse(rng, rng.randint(1, 6), rng.randint(1, 6))
-        B = random_sparse(rng, A.cols, rng.randint(1, 6))
-        got = dense_rows(A.compose(B))
+        cases.append((A, random_sparse(rng, A.cols, rng.randint(1, 6))))
+    for _ in range(15):
+        A = signs(rng.randint(1, 6), rng.randint(2, 6))
+        cases.append((A, signs(A.cols, rng.randint(1, 6))))
+        kernel = dense_solve(dense_rows(A))["kernel"]
+        if kernel:
+            K = SparseRationalMatrix(A.cols, len(kernel), {
+                (r, j): v for j, vec in enumerate(kernel)
+                for r, v in enumerate(vec)})
+            assert A.compose(K).is_zero()
+    cancelled = 0
+    for A, B in cases:
+        product = A.compose(B)
+        got = dense_rows(product)
         want = [mat_vec(dense_rows(A), col)
                 for col in zip(*dense_rows(B))] if B.cols else []
         want = [list(row) for row in zip(*want)] if want else \
             [[F(0)] * 0 for _ in range(A.rows)]
         assert got == want
+        assert all(product.entries.values())
+        cancelled += sum(1 for r in range(A.rows) for c in range(B.cols)
+                         if not want[r][c] and any(
+                             (r, k) in A.entries and (k, c) in B.entries
+                             for k in range(A.cols)))
+    assert cancelled > 0
 
 
 def test_word_slice_enumeration(sp2):

@@ -8,12 +8,14 @@ from necklie import (Hamiltonian, LambdaElement, PreconditionError,
                      one_dim_space, quantum_constraint_check)
 from necklie.cecomplex import raw_bracket
 from necklie.linalg import (TensorSliceSpec, WordSliceSpec, enumerate_basis,
-                            matrix_of_operator)
+                            matrix_of_operator, solve_and_kernel)
 from necklie.mc import MCCandidate, candidate_parity, mc_residual
-from necklie.obstruction import (MCState, default_lift_profile,
-                                 embed_hamiltonian, extend_step,
-                                 extension_space, hochschild_differential,
-                                 obstruction_class, obstruction_parity)
+from necklie.obstruction import (MCState, _adjoint_op, _slices_at,
+                                 default_lift_profile, embed_hamiltonian,
+                                 extend_step, extension_space,
+                                 hochschild_differential, obstruction_class,
+                                 obstruction_parity)
+from oracles import dense_rows, dense_solve
 
 F = Fraction
 
@@ -176,6 +178,27 @@ def test_extend_step_with_cohomology_choice(sp1, t3):
     steered = extend_step(state, alpha)
     assert isinstance(steered, MCState)
     assert steered.components[2] != plain.components[2]
+
+
+def test_two_generator_lift_to_order_two(sp2):
+    """The default order-2 profile has 11 752 tensors in each level-2
+    slice."""
+    out = lift(Hamiltonian(sp2, {(0, 0): F(3, 2)}), 2, "lg")
+    assert out.succeeded and out.state.level == 2
+    residual = out.state.residual()
+    assert all(residual.component_of_order(k).is_zero() for k in range(3))
+
+
+def test_two_generator_extension_space_at_level_two(sp2):
+    state = lift(Hamiltonian(sp2, {(0, 0): F(3, 2)}), 1, "lg").state
+    space = extension_space(state)
+    assert space.level == 2 and space.parameter_basis == []
+    cand, obst = _slices_at(state, 2)
+    d_out = matrix_of_operator(
+        _adjoint_op(sp2, state.components[0].terms, "lg"), cand, obst)
+    assert (d_out.rows, d_out.cols) == (680, 680)
+    assert (solve_and_kernel(d_out).rank
+            == dense_solve(dense_rows(d_out))["rank"])
 
 
 def test_lift_input_validation(sp1, sp2, t3):
