@@ -8,13 +8,23 @@ odd block vanishes, as does nu^2 when nu is odd.  The sort, the signed
 unshuffle and the combination arithmetic are ``cecomplex``'s, which owns
 the Koszul rule; here they run on blocks instead of words.
 
+Every block of a stored chain key is a canonical tensor.  Raw input is
+canonicalized once, block by block, by ``chain_normalize`` at the
+``CEChainElement`` boundary; everything else keeps the invariant and only
+re-sorts the outer blocks through ``sort_blocks``, the one owner of the
+outer rule.  Products concatenate canonical blocks, and the contractions
+of ``chain_delta`` place one new block, canonical as ``raw_differential``
+and ``raw_bracket`` return it, among canonical neighbours.
+
 The outer differential applies d to one block, or contracts two blocks
 through the tensor bracket into one, with the same front-loading sign
 convention as the inner differential.  ``bracket_into_block`` owns that
 contraction and its nu sign; ``mc.gauge_rate`` reuses it to bracket the
 gauge parameter into one block.  The outer filtration order is
 2G + N + sum(k_i - 1); truncation keeps order <= P, block count <= K and
-word length <= L of the profile.
+word length <= L of the profile.  Order and block count add under the
+product and word lengths do not change, so ``chain_mul`` never forms a
+pair that exceeds the left operand's P or K.
 """
 
 from __future__ import annotations
@@ -50,10 +60,20 @@ def chain_parity(space: SymplecticSpace, key) -> int:
             + N * space.nu_parity) & 1
 
 
-def chain_normalize(space: SymplecticSpace, G: int, N: int, blocks):
-    """Canonicalize every block, then Koszul-sort the blocks; None if zero."""
+def sort_blocks(space: SymplecticSpace, G: int, N: int, blocks):
+    """Koszul-sort canonical blocks into a chain key with its sign; None
+    when an odd block repeats or nu^2 vanishes.  The blocks are taken as
+    they are: each must already be a canonical tensor."""
     if space.nu_parity == 1 and N >= 2:
         return None
+    srt = koszul_sort(blocks, _block_key, lambda b: block_parity(space, b))
+    if srt is None:
+        return None
+    return (G, N, srt[0]), srt[1]
+
+
+def chain_normalize(space: SymplecticSpace, G: int, N: int, blocks):
+    """Canonicalize every block, then Koszul-sort the blocks; None if zero."""
     bs = []
     sign = 1
     for block in blocks:
@@ -64,10 +84,10 @@ def chain_normalize(space: SymplecticSpace, G: int, N: int, blocks):
             return None
         bs.append(nm[0][2])
         sign *= nm[1]
-    srt = koszul_sort(bs, _block_key, lambda b: block_parity(space, b))
-    if srt is None:
+    nm = sort_blocks(space, G, N, bs)
+    if nm is None:
         return None
-    return (G, N, srt[0]), sign * srt[1]
+    return nm[0], sign * nm[1]
 
 
 class CEChainElement(TruncatedCombination):
@@ -106,7 +126,7 @@ def embed_element(x: LambdaElement,
     truncated by profile, x's own by default."""
     out: dict = {}
     for (g, n, ws), c in x.terms.items():
-        nm = chain_normalize(x.space, g, n, (ws,))
+        nm = sort_blocks(x.space, g, n, (ws,))
         if nm is not None:
             accumulate(out, nm[0], c * nm[1])
     return CEChainElement(x.space, x.variant, profile or x.profile, out,
@@ -114,18 +134,27 @@ def embed_element(x: LambdaElement,
 
 
 def chain_mul(a: CEChainElement, b: CEChainElement) -> CEChainElement:
-    """Graded product: concatenate block lists, nu-prefix crossing the left."""
+    """Graded product: concatenate block lists, nu-prefix crossing the left.
+    A pair past the order or block cap of a's profile is not formed."""
     a._check_compatible(b)
-    nu_par = a.space.nu_parity
+    space = a.space
+    nu_par = space.nu_parity
+    max_order, max_blocks = a.profile.P, a.profile.K
+    right = [(key, chain_order(key), c2) for key, c2 in b.terms.items()]
     out: dict = {}
-    for (G1, N1, bl1), c1 in a.terms.items():
-        left_par = sum(block_parity(a.space, blk) for blk in bl1) & 1
-        for (G2, N2, bl2), c2 in b.terms.items():
-            s = (-1) ** ((N2 * nu_par) * left_par)
-            nm = chain_normalize(a.space, G1 + G2, N1 + N2, bl1 + bl2)
+    for key1, c1 in a.terms.items():
+        G1, N1, bl1 = key1
+        room = max_order - chain_order(key1)
+        slots = max_blocks - len(bl1)
+        left_par = sum(block_parity(space, blk) for blk in bl1) & 1
+        for (G2, N2, bl2), order2, c2 in right:
+            if order2 > room or len(bl2) > slots:
+                continue
+            nm = sort_blocks(space, G1 + G2, N1 + N2, bl1 + bl2)
             if nm is None:
                 continue
-            accumulate(out, nm[0], c1 * c2 * s * nm[1])
+            sign = -nm[1] if N2 * nu_par * left_par & 1 else nm[1]
+            accumulate(out, nm[0], (c1 if sign > 0 else -c1) * c2)
     return a.replace_terms(out)
 
 
@@ -148,20 +177,20 @@ def chain_delta(x: CEChainElement) -> CEChainElement:
                 if not ws2:
                     continue
                 cpar = (tensor_parity(space, (g2, n2, ws2)) - bpars[i]) & 1
-                s = (-1) ** (cpar * ((N * nu_par + pre) & 1))
-                s *= (-1) ** ((n2 * nu_par) * pre)
+                flip = (cpar * (N * nu_par + pre) + n2 * nu_par * pre) & 1
                 nb = blocks[:i] + (ws2,) + blocks[i + 1:]
-                nm = chain_normalize(space, G + g2, N + n2, nb)
+                nm = sort_blocks(space, G + g2, N + n2, nb)
                 if nm is None:
                     continue
-                accumulate(out, nm[0], c0 * c2 * s * nm[1])
+                sign = -nm[1] if flip else nm[1]
+                accumulate(out, nm[0], (c0 if sign > 0 else -c0) * c2)
         for i in range(r):
             for j in range(i + 1, r):
                 pre_i = sum(bpars[:i]) & 1
                 pre_j = (sum(bpars[:j]) - bpars[i]) & 1
-                s0 = (-1) ** (bpars[i] * pre_i + bpars[j] * pre_j + bpars[i])
+                flip = (bpars[i] * pre_i + bpars[j] * pre_j + bpars[i]) & 1
                 rest = tuple(b for l, b in enumerate(blocks) if l not in (i, j))
-                bracket_into_block(out, space, G, N, c0 * s0,
+                bracket_into_block(out, space, G, N, -c0 if flip else c0,
                                    {(0, 0, blocks[i]): Fraction(1)},
                                    {(0, 0, blocks[j]): Fraction(1)},
                                    bpars[i] + bpars[j], rest, with_nu)
@@ -175,17 +204,18 @@ def bracket_into_block(out: dict, space: SymplecticSpace, G: int, N: int,
     in place of blocks of total parity consumed of a chain with prefixes
     G, N.  Results without words or with a nu outside the variant drop;
     the contracted parity (result's less consumed) crosses the N nu's.
-    The caller's front-loading sign comes in coeff."""
+    The caller's front-loading sign comes in coeff.  The blocks of rest
+    and of the bracket are canonical, so only the outer sort runs."""
     nu_par = space.nu_parity
     for (g2, n2, ws2), c2 in raw_bracket(space, a, b).items():
         if not ws2 or (not with_nu and n2):
             continue
         cpar = (tensor_parity(space, (g2, n2, ws2)) - consumed) & 1
-        nm = chain_normalize(space, G + g2, N + n2, (ws2,) + rest)
+        nm = sort_blocks(space, G + g2, N + n2, (ws2,) + rest)
         if nm is None:
             continue
-        accumulate(out, nm[0],
-                   coeff * c2 * (-1) ** (cpar * (N * nu_par)) * nm[1])
+        sign = -nm[1] if cpar * N * nu_par & 1 else nm[1]
+        accumulate(out, nm[0], (coeff if sign > 0 else -coeff) * c2)
 
 
 def chain_coproduct(x: CEChainElement) -> dict:

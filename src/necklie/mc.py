@@ -36,8 +36,8 @@ from .cecomplex import (LambdaElement, TruncationProfile, lambda_bracket,
                         lambda_differential, normalize_tensor,
                         unbounded_profile)
 from .chains import (CEChainElement, block_parity, bracket_into_block,
-                     chain_delta, chain_mul, chain_normalize, chain_order,
-                     chain_unit, embed_element)
+                     chain_delta, chain_mul, chain_order, chain_unit,
+                     embed_element, sort_blocks)
 from .errors import PreconditionError, UsageError
 from .space import SymplecticSpace
 from .words import canonical_words
@@ -161,9 +161,9 @@ def gauge_rate(y: LambdaElement, c: CEChainElement) -> CEChainElement:
         bpars = [block_parity(space, b) for b in blocks]
         for i, block in enumerate(blocks):
             pre = sum(bpars[:i]) & 1
-            s0 = (-1) ** (bpars[i] * pre + 1)
             rest = tuple(b for l, b in enumerate(blocks) if l != i)
-            bracket_into_block(out, space, G, N, c0 * s0, y.terms,
+            coeff = c0 if bpars[i] * pre & 1 else -c0
+            bracket_into_block(out, space, G, N, coeff, y.terms,
                                {(0, 0, block): Fraction(1)}, bpars[i], rest,
                                with_nu)
     return c.replace_terms(out)
@@ -195,7 +195,8 @@ class HomotopyReport:
 
 
 def _chain_pool(space, variant, profile, limit):
-    """Deterministic small family of chain keys inside the profile."""
+    """Deterministic small family of chain keys inside the profile; its
+    blocks are canonical tensors, so keys need only the outer sort."""
     words = canonical_words(space, min(profile.L, 4))
     blocks = []
     for w in words:
@@ -214,7 +215,7 @@ def _chain_pool(space, variant, profile, limit):
         for combo in combinations_with_replacement(blocks, count):
             for g in range(0, min(profile.G, 1) + 1):
                 for n in range(0, n_max + 1):
-                    nm = chain_normalize(space, g, n, combo)
+                    nm = sort_blocks(space, g, n, combo)
                     if nm is not None and chain_order(nm[0]) <= profile.P:
                         pool.add(nm[0])
     return sorted(pool, key=lambda k: (chain_order(k), k))[:limit]

@@ -133,6 +133,9 @@ class ObstructionReport:
     witness: LambdaElement | None          # an extension, when one exists
     certificate: list | None = None        # row combination proving no solution
     slice_size: int = 0
+    # (candidate slice, obstruction slice, d_out) of the solve, which
+    # extension_space reuses; not part of the report's value
+    system: tuple | None = field(default=None, repr=False, compare=False)
 
     def summary(self) -> str:
         verdict = ("vanishes" if self.class_vanishes
@@ -302,7 +305,7 @@ def obstruction_class(state: MCState) -> ObstructionReport:
         level=level, cocycle=o, is_cocycle=True,
         class_vanishes=solved.solvable, witness=witness,
         certificate=None if solved.solvable else solved.certificate,
-        slice_size=len(cand))
+        slice_size=len(cand), system=(cand, obst, matrix))
 
 
 def extend_step(state: MCState, choice=None):
@@ -322,22 +325,23 @@ def extend_step(state: MCState, choice=None):
 
 
 def extension_space(state: MCState, _report=None) -> ExtensionSpace:
-    """Affine parameterization of all extensions at the next level."""
+    """Affine parameterization of all extensions at the next level.
+
+    _report, when given, is obstruction_class(state); its slices and
+    d_out are reused, so only d_in is built here."""
     report = _report or obstruction_class(state)
     if not report.class_vanishes:
         raise PreconditionError(
             "the obstruction class does not vanish; no extensions exist",
             evidence=report)
-    level = report.level
-    cand, obst = _slices_at(state, level)
+    cand, obst, d_out = report.system
     op = _adjoint_op(state.space, state.components[0].terms, state.variant)
-    d_out = matrix_of_operator(op, cand, obst)
     d_in = matrix_of_operator(op, obst, cand)
     hom = homology_dims(d_in, d_out)
     basis = [LambdaElement(state.space, state.variant, state.profile,
                            cand.combination(v), already_canonical=True)
              for v in hom.representatives]
-    return ExtensionSpace(level=level, particular=report.witness,
+    return ExtensionSpace(level=report.level, particular=report.witness,
                           parameter_basis=basis)
 
 

@@ -266,6 +266,84 @@ def vec_mat(vec, rows):
 
 
 # ---------------------------------------------------------------------------
+# truncated chain products, block by block and swap by swap
+
+
+def _bubble_sort(items, key, parity):
+    """Adjacent-swap sort with the Koszul sign; None when an odd item
+    repeats."""
+    items = list(items)
+    sign = 1
+    for end in range(len(items) - 1, 0, -1):
+        for i in range(end):
+            if key(items[i]) > key(items[i + 1]):
+                sign *= (-1) ** (parity(items[i]) * parity(items[i + 1]))
+                items[i], items[i + 1] = items[i + 1], items[i]
+    for a, b in zip(items, items[1:]):
+        if a == b and parity(a):
+            return None
+    return tuple(items), sign
+
+
+def oracle_chain_mul(parities, nu_parity, left, right, caps):
+    """Product of chain combinations {(G, N, blocks): c}, truncated by the
+    left operand's caps (P, K, L).
+
+    Blocks are concatenated, every word and every block is canonicalized
+    from scratch, the blocks are bubble-sorted (factor count first, then
+    words by length and letters) and only then is the result cut.
+    """
+    P, K, L = caps
+
+    def word_parity(w):
+        return sum(parities[x] for x in w) & 1
+
+    def block_parity(block):
+        return sum(word_parity(w) for w in block) & 1
+
+    def canonical_block(block):
+        sign = 1
+        words = []
+        for w in block:
+            nm = canonical_by_swaps(parities, w)
+            if nm is None:
+                return None
+            words.append(nm[0])
+            sign *= nm[1]
+        srt = _bubble_sort(words, lambda w: (len(w), w), word_parity)
+        return None if srt is None else (srt[0], sign * srt[1])
+
+    out: dict = {}
+    for (G1, N1, bl1), c1 in left.items():
+        for (G2, N2, bl2), c2 in right.items():
+            G, N = G1 + G2, N1 + N2
+            if nu_parity and N >= 2:
+                continue
+            # right's nu-prefix moves left past every block of left
+            sign = (-1) ** (N2 * nu_parity * sum(map(block_parity, bl1)))
+            blocks = []
+            for block in bl1 + bl2:
+                nm = canonical_block(block)
+                if nm is None:
+                    break
+                blocks.append(nm[0])
+                sign *= nm[1]
+            else:
+                srt = _bubble_sort(
+                    blocks, lambda b: (len(b), [(len(w), w) for w in b]),
+                    block_parity)
+                if srt is None:
+                    continue
+                blocks = srt[0]
+                order = 2 * G + N + sum(len(b) - 1 for b in blocks)
+                if (order > P or len(blocks) > K
+                        or any(len(w) > L for b in blocks for w in b)):
+                    continue
+                _accumulate(out, (G, N, blocks), c1 * c2 * sign * srt[1])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # tensor slices by brute force: normalize every multiset, then cut
 
 

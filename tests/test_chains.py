@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -8,6 +9,7 @@ from necklie import (CEChainElement, LambdaElement, TruncationProfile,
                      embed_element, lambda_differential, unbounded_profile)
 from necklie.chains import chain_normalize, chain_order, chain_parity
 from necklie.words import canonical_words
+from oracles import oracle_chain_mul
 
 F = Fraction
 
@@ -175,3 +177,54 @@ def test_chain_compatibility_checks(sp1, sp2):
         chn + lam
     with pytest.raises(UsageError):
         lam + chn
+
+
+def random_chain(space, profile, words, rng, size):
+    """Seeded chain with up to size terms of 0-3 blocks of 1-2 words,
+    canonicalized at the CEChainElement boundary."""
+    terms = {}
+    for _ in range(size):
+        blocks = tuple(tuple(rng.choice(words)
+                             for _ in range(rng.randint(1, 2)))
+                       for _ in range(rng.randint(0, 3)))
+        key = (rng.randint(0, 1), rng.randint(0, 1), blocks)
+        terms[key] = F(rng.choice((-1, 1)) * rng.randint(1, 5),
+                       rng.randint(1, 3))
+    return CEChainElement(space, "lgv", profile, terms)
+
+
+def test_chain_mul_with_binding_caps_against_oracle(sp1, sp2):
+    """Products truncated by the left operand's P, K and L equal the
+    oracle's untruncated product cut afterwards; the left and right
+    profiles differ, and each cap drops terms the others keep."""
+    roomy = TruncationProfile(L=6, K=6, G=2, N=2, P=14)
+    pairs = (
+        (TruncationProfile(L=6, K=6, G=2, N=2, P=3), roomy),    # P binds
+        (TruncationProfile(L=6, K=2, G=2, N=2, P=14), roomy),   # K binds
+        (TruncationProfile(L=3, K=6, G=2, N=2, P=14), roomy),   # L binds
+        (TruncationProfile(L=5, K=3, G=2, N=2, P=4),
+         TruncationProfile(L=6, K=4, G=2, N=2, P=6)),
+        (roomy, TruncationProfile(L=4, K=2, G=1, N=1, P=3)),
+    )
+    for space, max_len, seed in ((sp1, 5, 1009), (sp2, 4, 2003)):
+        rng = random.Random(seed)
+        words = canonical_words(space, max_len)
+        dropped = {"P": 0, "K": 0, "L": 0}
+        for _ in range(6):
+            for left_prof, right_prof in pairs:
+                a = random_chain(space, left_prof, words, rng, 8)
+                b = random_chain(space, right_prof, words, rng, 8)
+                caps = (left_prof.P, left_prof.K, left_prof.L)
+                want = oracle_chain_mul(space.parities, space.nu_parity,
+                                        a.terms, b.terms, caps)
+                assert chain_mul(a, b).terms == want, (space.names, caps)
+                for ka in a.terms:
+                    for kb in b.terms:
+                        order = chain_order(ka) + chain_order(kb)
+                        count = len(ka[2]) + len(kb[2])
+                        longest = max((len(w) for bl in ka[2] + kb[2]
+                                       for w in bl), default=0)
+                        dropped["P"] += order > left_prof.P
+                        dropped["K"] += count > left_prof.K
+                        dropped["L"] += longest > left_prof.L
+        assert min(dropped.values()) > 20, dropped

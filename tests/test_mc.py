@@ -7,10 +7,11 @@ from necklie import (LambdaElement, PreconditionError, TruncationProfile,
                      UsageError, char_class, embed_element, embed_hamiltonian,
                      gauge_act, general_solution_sample, homotopy_check,
                      mc_residual)
-from necklie.chains import chain_delta, chain_mul
+from necklie.cecomplex import normalize_tensor, variant_complaint
+from necklie.chains import CEChainElement, chain_delta, chain_mul
 from necklie.mc import (MCCandidate, as_candidate, candidate_parity,
                         class_residual_identity, exp_chain)
-from necklie.words import Hamiltonian
+from necklie.words import Hamiltonian, canonical_words
 
 F = Fraction
 
@@ -125,6 +126,46 @@ def test_exp_chain_unit_and_block_cap(sp2):
         (0, 0, ((xx,),)): F(2),
         (0, 0, ((xx,), (xx,))): F(2),      # 2*2/2!, third power capped away
     }
+
+
+def test_exp_chain_tight_equals_roomy_truncated(sp1, sp2):
+    """Skipping products past the caps drops only what truncation drops:
+    the class in a tight profile is the roomy class cut to that profile."""
+    roomy = TruncationProfile(L=8, K=5, G=3, N=3, P=9)
+    tights = (TruncationProfile(L=8, K=5, G=3, N=3, P=3),
+              TruncationProfile(L=8, K=2, G=3, N=3, P=9),
+              TruncationProfile(L=3, K=5, G=3, N=3, P=9),
+              TruncationProfile(L=4, K=3, G=1, N=1, P=4))
+    rng = random.Random(1618)
+    for space in (sp1, sp2):
+        words = canonical_words(space, 4 if space is sp1 else 3)
+        for variant in ("lg", "lgv"):
+            keys = set()
+            for g in (0, 1):
+                for n in ((0, 1) if variant == "lgv" else (0,)):
+                    for k in (1, 2):
+                        for _ in range(12):
+                            nm = normalize_tensor(
+                                space, g, n,
+                                [rng.choice(words) for _ in range(k)])
+                            if nm and not variant_complaint(variant, nm[0]):
+                                keys.add(nm[0])
+            keys = sorted(keys)
+            cuts, largest = 0, 0
+            for _ in range(3):
+                x = LambdaElement(space, variant, roomy,
+                                  {k: F(rng.randint(-4, 4) or 1,
+                                        rng.randint(1, 3))
+                                   for k in rng.sample(keys, 4)})
+                wide = exp_chain(x, roomy)
+                largest = max(largest, len(wide.terms))
+                for tight in tights:
+                    cut = CEChainElement(space, variant, tight, wide.terms,
+                                         already_canonical=True)
+                    cuts += len(cut.terms) < len(wide.terms)
+                    assert exp_chain(x, tight) == cut, (space.names,
+                                                        variant, tight)
+            assert cuts >= 6 and largest > 8, (space.names, variant)
 
 
 def test_char_class_requires_flat(sp1, sp2):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import necklie.obstruction as obstruction
 from necklie import (Hamiltonian, LambdaElement, PreconditionError,
                      TruncationProfile, UsageError, canonical_words,
                      hochschild_cohomology, kunneth_check, lift,
@@ -178,6 +179,26 @@ def test_extend_step_with_cohomology_choice(sp1, t3):
     steered = extend_step(state, alpha)
     assert isinstance(steered, MCState)
     assert steered.components[2] != plain.components[2]
+
+
+def test_extend_step_reuses_the_obstruction_matrix(sp1, t3, monkeypatch):
+    """A steered step builds d_out once, for the obstruction solve, and
+    d_in once, for the extension space."""
+    state = lift(t3, 1, "lg").state
+    report = obstruction_class(state)
+    reused = extension_space(state, _report=report).parameter_basis
+    assert reused == extension_space(state).parameter_basis
+    assert reused
+    built = []
+
+    def counting(op, dom, cod):
+        built.append((len(dom), len(cod)))
+        return matrix_of_operator(op, dom, cod)
+    monkeypatch.setattr(obstruction, "matrix_of_operator", counting)
+    alpha = [F(0)] * len(reused)
+    alpha[-1] = F(1)
+    assert isinstance(extend_step(state, alpha), MCState)
+    assert len(built) == 2
 
 
 def test_two_generator_lift_to_order_two(sp2):
