@@ -14,13 +14,19 @@ sum with the global 1/2 realizes the symmetrized splitting; sides that
 come out empty are kept as explicit Empty markers here and turn into the
 deformation letter nu only inside the CE complex.
 
-``bracket_raw`` and ``cobracket_raw`` validate their words, then memoize
-their whole result in the space's ``memo`` keyed by the words, for the
-life of the space instance, and return read-only mappings
-(``types.MappingProxyType``) that every caller shares.
-They canonicalize through ``words._canonical`` and call none of the
-functions ``bench/spans.py`` traces, so a hit skips no traced call that a
-miss would make.
+``bracket_raw`` and ``cobracket_raw`` are validating boundaries: they
+check their words, then read ``_bracket`` and ``_cobracket``, which
+memoize the whole result in the space's ``memo`` keyed by the words
+(``("bracket", A, B)`` and ``("cobracket", W)``), for the life of the
+space instance, and return read-only mappings
+(``types.MappingProxyType``) that every caller shares.  The bodies take
+valid words as they are; the tensor layer (``cecomplex``) validates its
+keys once and calls them directly to fill its own memo entries, the
+bracket of each pair of tensor keys and the differential of each key
+(keyed by the tensor keys, never by coefficients).  The bodies
+canonicalize through ``words._canonical`` and call none of the functions
+``bench/spans.py`` traces, so a hit skips no traced call that a miss
+would make.
 """
 
 from __future__ import annotations
@@ -42,7 +48,11 @@ def bracket_raw(space: SymplecticSpace, A, B):
     Returns (terms, scalar): read-only canonical-word coefficients plus the
     length-0 output coefficient, kept separate so callers choose its fate.
     """
-    A, B = checked_word(space, A), checked_word(space, B)
+    return _bracket(space, checked_word(space, A), checked_word(space, B))
+
+
+def _bracket(space: SymplecticSpace, A, B):
+    """Memoized body of bracket_raw for two words of valid indices."""
     key = ("bracket", A, B)
     found = space.memo.get(key)
     if found is not None:
@@ -89,7 +99,11 @@ def bracket_combo(space: SymplecticSpace, a: dict, b: dict):
 def cobracket_raw(space: SymplecticSpace, W):
     """Word-level cobracket: read-only (left, right) -> coeff, None = empty
     side."""
-    W = checked_word(space, W)
+    return _cobracket(space, checked_word(space, W))
+
+
+def _cobracket(space: SymplecticSpace, W):
+    """Memoized body of cobracket_raw for a word of valid indices."""
     key = ("cobracket", W)
     found = space.memo.get(key)
     if found is not None:

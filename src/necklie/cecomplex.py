@@ -26,17 +26,37 @@ This module owns the graded-symmetric rules that the chain level
 (``chains``) reuses with blocks in place of words: the Koszul sort that
 kills a repeated odd factor, the signed unshuffle, and the truncated
 combination class both element kinds derive from.
+
+The raw operations are bilinear sums over their input keys.
+``raw_bracket`` sums one memoized result per key pair, stored in the
+space's ``memo`` under ``("tensor_bracket", k1, k2)``; ``raw_differential``
+sums one memoized full differential per key, under
+``("differential", key)``, and drops the nu-terms on read when asked for
+the nu-free part.  Memo keys are tensor keys only, never coefficients;
+the results are read-only (``types.MappingProxyType``) and every public
+function returns a fresh dict.  Each public function validates every key
+of its input once (nonnegative integer exponents, valid words) before
+any lookup, so a hit rejects what a miss rejects.  The per-key bodies
+(``_tensor``, ``_key_ce_delta``, ``_key_cobracket``) take valid keys and
+call only untraced internals (``bialgebra._bracket`` and ``_cobracket``,
+``words._canonical``), never a function ``bench/spans.py`` traces.
+
+Operation results enter ``TruncatedCombination`` with
+``already_canonical=True``: their keys are canonical and distinct, so the
+constructor checks the variant, cuts by the profile and drops zeros, but
+does not normalize or merge them again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
-from .bialgebra import bracket_raw, cobracket_raw
+from .bialgebra import _bracket, _cobracket
 from .errors import UsageError
 from .space import SymplecticSpace
-from .words import accumulate, normalize_word
+from .words import _canonical, accumulate, checked_word
 
 VARIANTS = ("lgv", "lg", "hq2")
 
@@ -81,20 +101,36 @@ def koszul_sort(factors, key, parity):
     return tuple(fs), sign
 
 
+def _check_key(space: SymplecticSpace, g, n, words) -> tuple:
+    """The words as a tuple of letter tuples, or UsageError unless the
+    exponents are nonnegative integers and every word is valid."""
+    if not (isinstance(g, int) and isinstance(n, int)) or g < 0 or n < 0:
+        raise UsageError("gamma and nu exponents must be nonnegative integers")
+    return tuple(checked_word(space, w) for w in words)
+
+
+def _check_keys(space: SymplecticSpace, terms: dict) -> None:
+    for g, n, ws in terms:
+        _check_key(space, g, n, ws)
+
+
 def normalize_tensor(space: SymplecticSpace, g: int, n: int, words):
     """Canonical Koszul-sorted key (g, n, words) with sign, or None when zero.
 
     Each word is canonicalized first; a zero word, a repeated odd factor,
     or nu^2 with odd nu all make the whole tensor zero.
     """
-    if g < 0 or n < 0:
-        raise UsageError("gamma and nu exponents must be nonnegative")
+    return _tensor(space, g, n, _check_key(space, g, n, words))
+
+
+def _tensor(space: SymplecticSpace, g: int, n: int, words):
+    """Body of normalize_tensor for valid exponents and words."""
     if space.nu_parity == 1 and n >= 2:
         return None
     ws = []
     sign = 1
     for w in words:
-        nm = normalize_word(space, w)
+        nm = _canonical(space, w)
         if nm is None:
             return None
         ws.append(nm[0])
@@ -107,106 +143,158 @@ def normalize_tensor(space: SymplecticSpace, g: int, n: int, words):
 
 # ---------------------------------------------------------------------------
 # raw operations on dict {(g, n, factors): coeff} with canonical keys
+#
+# Each operation is the bilinear extension of its value on single keys.
+# The per-key bodies take valid keys and call only untraced internals;
+# the public functions validate every key of their input once, then sum.
+
+
+def _add_scaled(out: dict, coeff, terms) -> None:
+    for key, c in terms.items():
+        accumulate(out, key, coeff * c)
+
+
+def _key_ce_delta(space: SymplecticSpace, key) -> dict:
+    """Pairwise bracket contraction of one valid key, without gamma."""
+    g, n, ws = key
+    out: dict = {}
+    pars = [space.word_parity(w) for w in ws]
+    k = len(ws)
+    for i in range(k):
+        for j in range(i + 1, k):
+            pre_i = sum(pars[:i]) & 1
+            pre_j = (sum(pars[:j]) - pars[i]) & 1
+            s = (-1) ** (pars[i] * pre_i + pars[j] * pre_j + pars[i])
+            contracted, _scalar = _bracket(space, ws[i], ws[j])
+            # length-0 outputs live in the dropped central summand
+            rest = tuple(w for l, w in enumerate(ws) if l not in (i, j))
+            for u, cu in contracted.items():
+                nm = _tensor(space, g, n, (u,) + rest)
+                if nm is None:
+                    continue
+                accumulate(out, nm[0], cu if s == nm[1] else -cu)
+    return out
+
+
+def _key_cobracket(space: SymplecticSpace, key) -> dict:
+    """Leibniz cobracket of one valid key; empty sides become nu."""
+    g, n, ws = key
+    out: dict = {}
+    P = space.form_parity
+    nu_par = space.nu_parity
+    pars = [space.word_parity(w) for w in ws]
+    for i, w in enumerate(ws):
+        pre = sum(pars[:i]) & 1
+        before, after = ws[:i], ws[i + 1:]
+        for (left, right), cc in _cobracket(space, w).items():
+            nu_new = (left is None) + (right is None)
+            branch_parity = (P + nu_new * nu_par) & 1
+            s = (-1) ** (branch_parity * pre)
+            # transport past the nu-prefix of the tensor itself
+            s *= (-1) ** (branch_parity * ((n * nu_par) & 1))
+            if nu_new:
+                # each created nu migrates to the prefix
+                s *= (-1) ** (nu_par * pre)
+                if right is None and left is not None:
+                    s *= (-1) ** (nu_par * space.word_parity(left))
+            produced = tuple(x for x in (left, right) if x is not None)
+            words = before + produced + after
+            if not words:
+                continue  # no factors left: central summand, dropped
+            nm = _tensor(space, g, n + nu_new, words)
+            if nm is None:
+                continue
+            accumulate(out, nm[0], cc if s == nm[1] else -cc)
+    return out
+
+
+def _key_differential(space: SymplecticSpace, key):
+    """Memoized d = gamma*delta + Delta of one valid key, read-only."""
+    memo_key = ("differential", key)
+    found = space.memo.get(memo_key)
+    if found is None:
+        out = {(g + 1, n, ws): c
+               for (g, n, ws), c in _key_ce_delta(space, key).items()}
+        _add_scaled(out, 1, _key_cobracket(space, key))
+        found = space.memo[memo_key] = MappingProxyType(out)
+    return found
+
+
+def _key_bracket(space: SymplecticSpace, k1, k2):
+    """Memoized Leibniz bracket of two valid keys, read-only."""
+    memo_key = ("tensor_bracket", k1, k2)
+    found = space.memo.get(memo_key)
+    if found is not None:
+        return found
+    (g1, n1, U), (g2, n2, V) = k1, k2
+    out: dict = {}
+    P = space.form_parity
+    nu_par = space.nu_parity
+    if not (nu_par == 1 and n1 + n2 >= 2):
+        pu = [space.word_parity(w) for w in U]
+        pv = [space.word_parity(w) for w in V]
+        # the nu-prefix of the second argument crosses all of U
+        s0 = (-1) ** ((n2 * nu_par) * (sum(pu) & 1))
+        for i in range(len(U)):
+            for j in range(len(V)):
+                pre_i = sum(pu[:i]) & 1
+                pre_j = ((sum(pu) - pu[i]) + sum(pv[:j])) & 1
+                s = s0 * (-1) ** (pu[i] * pre_i + pv[j] * pre_j)
+                # the bracket operation itself (parity P) crosses the
+                # unused factors of the first slot
+                s *= (-1) ** (P * ((sum(pu) - pu[i]) & 1))
+                contracted, _scalar = _bracket(space, U[i], V[j])
+                rest = (tuple(w for l, w in enumerate(U) if l != i) +
+                        tuple(w for l, w in enumerate(V) if l != j))
+                for u, cu in contracted.items():
+                    nm = _tensor(space, g1 + g2, n1 + n2, (u,) + rest)
+                    if nm is None:
+                        continue
+                    accumulate(out, nm[0], cu if s == nm[1] else -cu)
+    found = space.memo[memo_key] = MappingProxyType(out)
+    return found
 
 
 def raw_ce_delta(space: SymplecticSpace, terms: dict) -> dict:
     """Pairwise bracket contraction; does not multiply by gamma."""
+    _check_keys(space, terms)
     out: dict = {}
-    for (g, n, ws), c0 in terms.items():
-        pars = [space.word_parity(w) for w in ws]
-        k = len(ws)
-        for i in range(k):
-            for j in range(i + 1, k):
-                pre_i = sum(pars[:i]) & 1
-                pre_j = (sum(pars[:j]) - pars[i]) & 1
-                s = (-1) ** (pars[i] * pre_i + pars[j] * pre_j + pars[i])
-                contracted, _scalar = bracket_raw(space, ws[i], ws[j])
-                # length-0 outputs live in the dropped central summand
-                rest = tuple(w for l, w in enumerate(ws) if l not in (i, j))
-                for u, cu in contracted.items():
-                    nm = normalize_tensor(space, g, n, (u,) + rest)
-                    if nm is None:
-                        continue
-                    accumulate(out, nm[0], c0 * s * cu * nm[1])
+    for key, c in terms.items():
+        _add_scaled(out, c, _key_ce_delta(space, key))
     return out
 
 
 def raw_extend_cobracket(space: SymplecticSpace, terms: dict) -> dict:
     """Leibniz extension of the cobracket; empty sides become nu factors."""
+    _check_keys(space, terms)
     out: dict = {}
-    P = space.form_parity
-    nu_par = space.nu_parity
-    for (g, n, ws), c0 in terms.items():
-        pars = [space.word_parity(w) for w in ws]
-        for i, w in enumerate(ws):
-            pre = sum(pars[:i]) & 1
-            before, after = ws[:i], ws[i + 1:]
-            for (left, right), cc in cobracket_raw(space, w).items():
-                nu_new = (left is None) + (right is None)
-                branch_parity = (P + nu_new * nu_par) & 1
-                s = (-1) ** (branch_parity * pre)
-                # transport past the nu-prefix of the tensor itself
-                s *= (-1) ** (branch_parity * ((n * nu_par) & 1))
-                if nu_new:
-                    # each created nu migrates to the prefix
-                    s *= (-1) ** (nu_par * pre)
-                    if right is None and left is not None:
-                        s *= (-1) ** (nu_par * space.word_parity(left))
-                produced = tuple(x for x in (left, right) if x is not None)
-                words = before + produced + after
-                if not words:
-                    continue  # no factors left: central summand, dropped
-                nm = normalize_tensor(space, g, n + nu_new, words)
-                if nm is None:
-                    continue
-                accumulate(out, nm[0], c0 * cc * s * nm[1])
+    for key, c in terms.items():
+        _add_scaled(out, c, _key_cobracket(space, key))
     return out
 
 
 def raw_differential(space: SymplecticSpace, terms: dict,
                      with_nu: bool = True) -> dict:
     """d = gamma*delta + Delta; with_nu=False keeps only the nu-free part."""
+    _check_keys(space, terms)
     out: dict = {}
-    for (g, n, ws), c in raw_ce_delta(space, terms).items():
-        accumulate(out, (g + 1, n, ws), c)
-    for key, c in raw_extend_cobracket(space, terms).items():
-        accumulate(out, key, c)
-    if not with_nu:
-        out = {k: v for k, v in out.items() if k[1] == 0}
+    for key, c in terms.items():
+        for k, v in _key_differential(space, key).items():
+            if with_nu or not k[1]:
+                accumulate(out, k, c * v)
     return out
 
 
 def raw_bracket(space: SymplecticSpace, x: dict, y: dict) -> dict:
     """Leibniz bi-extension of the word bracket to tensors."""
+    _check_keys(space, x)
+    _check_keys(space, y)
     out: dict = {}
-    P = space.form_parity
-    nu_par = space.nu_parity
-    for (g1, n1, U), c1 in x.items():
-        for (g2, n2, V), c2 in y.items():
-            if nu_par == 1 and n1 + n2 >= 2:
-                continue
-            c0 = c1 * c2
-            pu = [space.word_parity(w) for w in U]
-            pv = [space.word_parity(w) for w in V]
-            # the nu-prefix of the second argument crosses all of U
-            c0 *= (-1) ** ((n2 * nu_par) * (sum(pu) & 1))
-            for i in range(len(U)):
-                for j in range(len(V)):
-                    pre_i = sum(pu[:i]) & 1
-                    pre_j = ((sum(pu) - pu[i]) + sum(pv[:j])) & 1
-                    s = (-1) ** (pu[i] * pre_i + pv[j] * pre_j)
-                    # the bracket operation itself (parity P) crosses the
-                    # unused factors of the first slot
-                    s *= (-1) ** (P * ((sum(pu) - pu[i]) & 1))
-                    contracted, _scalar = bracket_raw(space, U[i], V[j])
-                    rest = (tuple(w for l, w in enumerate(U) if l != i) +
-                            tuple(w for l, w in enumerate(V) if l != j))
-                    for u, cu in contracted.items():
-                        nm = normalize_tensor(space, g1 + g2, n1 + n2,
-                                              (u,) + rest)
-                        if nm is None:
-                            continue
-                        accumulate(out, nm[0], c0 * s * cu * nm[1])
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            pair = _key_bracket(space, k1, k2)
+            if pair:
+                _add_scaled(out, c1 * c2, pair)
     return out
 
 
@@ -315,23 +403,31 @@ class TruncatedCombination:
         self.profile = profile
         clean: dict = {}
         for key, coeff in (terms or {}).items():
+            if already_canonical:
+                # the keys of a dict are distinct: nothing to merge
+                if not coeff:
+                    continue
+                self._check(key)
+                if self._keeps(key):
+                    clean[key] = (coeff if type(coeff) is Fraction
+                                  else Fraction(coeff))
+                continue
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
-            if already_canonical:
-                canon, sign = key, 1
-            else:
-                nm = self._normalize(*key)
-                if nm is None:
-                    continue
-                canon, sign = nm
-            complaint = self._complaint(canon)
-            if complaint is not None:
-                raise UsageError(f"term {canon} rejected: {complaint}")
-            if not self._keeps(canon):
+            nm = self._normalize(*key)
+            if nm is None:
                 continue
-            accumulate(clean, canon, coeff * sign)
+            canon, sign = nm
+            self._check(canon)
+            if self._keeps(canon):
+                accumulate(clean, canon, coeff * sign)
         self.terms = clean
+
+    def _check(self, key) -> None:
+        complaint = self._complaint(key)
+        if complaint is not None:
+            raise UsageError(f"term {key} rejected: {complaint}")
 
     def replace_terms(self, terms: dict):
         return type(self)(self.space, self.variant, self.profile, terms,

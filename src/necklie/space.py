@@ -64,15 +64,21 @@ def _invert(matrix):
 class SymplecticSpace:
     """Ordered generators with parities and an invertible graded pairing.
 
-    ``memo`` is the word layer's memo for this instance: the canonical
+    ``memo`` is the memo of the word and tensor layers for this instance.
+    The word layer (``words``, ``bialgebra``) stores the canonical
     rotation and sign of each letter sequence, the rotation list of each
-    word, and the whole result of each word bracket and word cobracket
-    (``words`` and ``bialgebra`` fill it).  Keys are word tuples only,
-    never coefficients, so the memo grows with the distinct words used,
-    not with the number of calls.  It starts empty, is never shared, and
-    lives and dies with the instance; it takes no part in equality or
-    hashing.  Memoized results are read-only, and a memoized function
-    calls none of the functions ``bench/spans.py`` traces.
+    word, and the whole result of each word bracket and word cobracket,
+    keyed by word tuples.  The tensor layer (``cecomplex``) stores the
+    Leibniz bracket of each pair of tensor keys and the full differential
+    gamma*delta + Delta of each tensor key, keyed by the keys
+    (g, n, words).  Keys never hold coefficients, so the memo grows with
+    the distinct words, keys and key pairs used, not with the number of
+    calls.  It starts empty, is never shared, and lives and dies with the
+    instance; it takes no part in equality or hashing.  Memoized results
+    are read-only, and inputs are validated before every lookup.  A miss
+    computes through untraced internals only, none of the functions
+    ``bench/spans.py`` traces, so a warm space makes the same traced
+    calls as a cold one.
     """
 
     names: tuple[str, ...]

@@ -82,11 +82,14 @@ def normalize_word(space: SymplecticSpace, letters):
     return _canonical(space, checked_word(space, letters))
 
 
+_ZERO = Fraction(0)
+
+
 def accumulate(terms: dict, key, coeff: Fraction) -> None:
     """Add coeff to terms[key], deleting the entry if it cancels to zero."""
     if coeff == 0:
         return
-    new = terms.get(key, Fraction(0)) + coeff
+    new = terms.get(key, _ZERO) + coeff
     if new == 0:
         terms.pop(key, None)
     else:

@@ -391,3 +391,137 @@ def brute_force_tensor_slice(space, profile, variant=None, parity=None,
                         continue
                     out.append(key)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# tensor bracket and differential, factor by factor and swap by swap
+#
+# Tensor keys are (g, n, words).  nu is odd exactly when the form is even.
+# Every factor is moved by adjacent swaps, nothing is cached, and words
+# are canonicalized by rotation swaps only when a term is complete.
+
+_NU = "nu"
+
+
+def _item_parity(parities, nu_parity, item):
+    if item == _NU:
+        return nu_parity
+    return sum(parities[x] for x in item) & 1
+
+
+def _moved(items, parity, src, dst):
+    """items with items[src] moved left to dst by adjacent swaps, and the
+    Koszul sign of the moves."""
+    items = list(items)
+    sign = 1
+    for p in range(src, dst, -1):
+        sign *= (-1) ** (parity(items[p - 1]) * parity(items[p]))
+        items[p - 1], items[p] = items[p], items[p - 1]
+    return items, sign
+
+
+def oracle_tensor_key(parities, nu_parity, g, n, words):
+    """Canonical tensor key with its sign, or None when the tensor is 0."""
+    if nu_parity and n >= 2:
+        return None
+    sign = 1
+    canon = []
+    for w in words:
+        nm = canonical_by_swaps(parities, w)
+        if nm is None:
+            return None
+        canon.append(nm[0])
+        sign *= nm[1]
+    srt = _bubble_sort(canon, lambda w: (len(w), w),
+                       lambda w: _item_parity(parities, nu_parity, w))
+    if srt is None:
+        return None
+    return (g, n, srt[0]), sign * srt[1]
+
+
+def _add_term(out, parities, nu_parity, g, n, words, coeff):
+    nm = oracle_tensor_key(parities, nu_parity, g, n, words)
+    if nm is not None:
+        _accumulate(out, nm[0], coeff * nm[1])
+
+
+def oracle_tensor_bracket(parities, omega, form_parity, x, y):
+    """Leibniz bracket of two combinations {(g, n, words): c}.
+
+    For each pair of factors U_i of x and V_j of y: the nu's of y cross
+    U, U_i moves to the front, V_j moves behind it, the bracket (of the
+    form's parity) crosses the rest of U, and the two are contracted.
+    """
+    nu_parity = 1 - form_parity
+    par = lambda item: _item_parity(parities, nu_parity, item)
+    out: dict = {}
+    for (g1, n1, U), c1 in x.items():
+        for (g2, n2, V), c2 in y.items():
+            sign0 = 1
+            for _ in range(n2):
+                for u in U:
+                    sign0 *= (-1) ** (nu_parity * par(u))
+            for i in range(len(U)):
+                for j in range(len(V)):
+                    items, s1 = _moved(list(U) + list(V), par, i, 0)
+                    items, s2 = _moved(items, par, len(U) + j, 1)
+                    sign = sign0 * s1 * s2
+                    for u in items[2:len(U) + 1]:
+                        sign *= (-1) ** (form_parity * par(u))
+                    glued, _scalar = oracle_bracket(parities, omega,
+                                                    items[0], items[1])
+                    for w, cw in glued.items():
+                        _add_term(out, parities, nu_parity, g1 + g2,
+                                  n1 + n2, [w] + items[2:],
+                                  c1 * c2 * sign * cw)
+    return out
+
+
+def oracle_tensor_differential(parities, omega, form_parity, terms,
+                               with_nu=True):
+    """gamma * delta + Delta on a combination {(g, n, words): c}; with_nu
+    False keeps the nu-free terms.
+
+    delta: factors i < j move to the front by adjacent swaps, with one more
+    sign (-1)**parity(w_i), and are contracted under one more gamma.
+    Delta: the cobracket (of the form's parity, plus nu for each empty
+    side) crosses the nu's and the factors before w_i, w_i splits in
+    place, and every new nu moves left past the words before it.
+    """
+    nu_parity = 1 - form_parity
+    par = lambda item: _item_parity(parities, nu_parity, item)
+    out: dict = {}
+    for (g, n, ws), c in terms.items():
+        k = len(ws)
+        for i in range(k):
+            for j in range(i + 1, k):
+                items, s1 = _moved(ws, par, i, 0)
+                items, s2 = _moved(items, par, j, 1)
+                sign = s1 * s2 * (-1) ** par(ws[i])
+                glued, _scalar = oracle_bracket(parities, omega,
+                                                items[0], items[1])
+                for w, cw in glued.items():
+                    _add_term(out, parities, nu_parity, g + 1, n,
+                              [w] + items[2:], c * sign * cw)
+        for i in range(k):
+            for (left, right), cc in oracle_cobracket(parities, omega,
+                                                      ws[i]).items():
+                produced = [left or _NU, right or _NU]
+                op_parity = (form_parity
+                             + nu_parity * produced.count(_NU)) & 1
+                sign = 1
+                for item in [_NU] * n + list(ws[:i]):
+                    sign *= (-1) ** (op_parity * par(item))
+                items = list(ws[:i]) + produced + list(ws[i + 1:])
+                nus = 0
+                while _NU in items:
+                    items, s = _moved(items, par, items.index(_NU), 0)
+                    sign *= s
+                    items.pop(0)
+                    nus += 1
+                if items:
+                    _add_term(out, parities, nu_parity, g, n + nus, items,
+                              c * cc * sign)
+    if not with_nu:
+        out = {key: v for key, v in out.items() if key[1] == 0}
+    return out

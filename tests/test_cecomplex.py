@@ -1,17 +1,21 @@
 from fractions import Fraction
 from itertools import product
+from random import Random
 
 import pytest
 
-from necklie import (CEChainElement, LambdaElement, TruncationProfile,
-                     UsageError, chain_coproduct, coproduct,
+from necklie import (CEChainElement, LambdaElement, SymplecticSpace,
+                     TruncationProfile, UsageError, chain_coproduct, coproduct,
                      extend_cobracket, lambda_bracket, lambda_differential,
-                     normalize_tensor, project, unbounded_profile)
+                     normalize_tensor, one_dim_space, project,
+                     two_dim_space, unbounded_profile)
 from necklie.cecomplex import (definition_order, filtration_order,
                                raw_ce_delta, raw_coproduct, raw_differential,
                                raw_extend_cobracket, raw_bracket,
                                tensor_parity)
 from necklie.words import canonical_words
+from oracles import (necklace_classes, omega_matrix, oracle_tensor_bracket,
+                     oracle_tensor_differential, oracle_tensor_key)
 
 F = Fraction
 
@@ -368,3 +372,113 @@ def test_profile_validation():
         TruncationProfile(L=1, K=0, G=1, N=0)
     prof = TruncationProfile(L=2, K=2, G=1, N=1)
     assert prof.P == 2 * 1 + 1 + 2 - 1
+
+
+def _random_combination(rng, space, words):
+    """A combination of 1-4 canonical keys, gamma and nu exponents 0-2."""
+    out: dict = {}
+    while len(out) < rng.randint(1, 4):
+        nm = oracle_tensor_key(space.parities, space.nu_parity,
+                               rng.randint(0, 2), rng.randint(0, 2),
+                               [rng.choice(words)
+                                for _ in range(rng.randint(1, 3))])
+        if nm is not None:
+            out[nm[0]] = F(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+    return out
+
+
+def _three_generator_space():
+    """Odd a with <a,a> = 1 beside even p, q with <p,q> = 1 = -<q,p>: nu
+    is odd, the bracket is not zero and odd words exist, which no shipped
+    space combines."""
+    z, o = F(0), F(1)
+    return SymplecticSpace(("a", "p", "q"), (1, 0, 0),
+                           ((o, z, z), (z, z, o), (z, -o, z)), 0)
+
+
+# on one generator the bracket is zero and the cobracket always makes a
+# nu, so only the full differential takes nonzero values there
+@pytest.mark.parametrize("make, max_len, bracket_nonzero",
+                         [(one_dim_space, 5, False), (two_dim_space, 3, True),
+                          (_three_generator_space, 3, True)])
+def test_tensor_operations_cold_and_warm_match_the_oracle(make, max_len,
+                                                          bracket_nonzero):
+    """raw_bracket and raw_differential against a reference that caches
+    nothing, first on a fresh space (misses), then again (hits)."""
+    space = make()
+    pars = space.parities
+    omega = omega_matrix(space.form)
+    words = sorted(w for length in range(1, max_len + 1)
+                   for w in necklace_classes(pars, space.size, length))
+    rng = Random(1311)
+    samples = [(_random_combination(rng, space, words),
+                _random_combination(rng, space, words)) for _ in range(40)]
+    want = [(oracle_tensor_bracket(pars, omega, space.form_parity, x, y),
+             oracle_tensor_differential(pars, omega, space.form_parity, x),
+             oracle_tensor_differential(pars, omega, space.form_parity, x,
+                                        with_nu=False))
+            for x, y in samples]
+    assert any(w[1] for w in want)
+    assert any(w[0] for w in want) == any(w[2] for w in want) == \
+        bracket_nonzero
+    assert not space.memo
+    for rounds in range(2):
+        for (x, y), (bracket, full, nu_free) in zip(samples, want):
+            assert raw_bracket(space, x, y) == bracket, (x, y)
+            assert raw_differential(space, x, with_nu=True) == full, x
+            assert raw_differential(space, x, with_nu=False) == nu_free, x
+        if rounds == 0:
+            filled = len(space.memo)
+    assert len(space.memo) == filled
+
+
+def test_warm_tensor_memo_keeps_its_boundary():
+    """A memoized key does not let an invalid key through, memo entries
+    are read-only, and a returned dict belongs to its caller."""
+    space = two_dim_space()
+    key = (1, 0, ((0,), (0, 0, 1)))
+    one, other = {key: F(1)}, {(0, 0, ((0, 0, 1),)): F(1)}
+    bracket = raw_bracket(space, one, other)
+    differential = raw_differential(space, one)
+    assert bracket and differential
+    # the first two hash like the memoized key
+    for bad in [(1, 0, ((0.0,), (0, 0, 1))), (1.0, 0, ((0,), (0, 0, 1))),
+                (1, 0, ((0,), (0, 0, -1))), (1, 0, ((0,), (0, 0, space.size))),
+                (-1, 0, ((0,),)), (0, -1, ((0,),))]:
+        with pytest.raises(UsageError):
+            raw_bracket(space, {bad: F(1)}, one)
+        with pytest.raises(UsageError):
+            raw_bracket(space, one, {bad: F(1)})
+        with pytest.raises(UsageError):
+            raw_differential(space, {bad: F(1)})
+        with pytest.raises(UsageError):
+            raw_differential(space, {bad: F(1)}, with_nu=False)
+    entries = [v for k, v in space.memo.items()
+               if k[0] in ("tensor_bracket", "differential")]
+    assert entries
+    for entry in entries:
+        with pytest.raises(TypeError):
+            entry[key] = F(5)
+    bracket.clear()
+    differential[key] = F(7)
+    assert raw_bracket(space, one, other) == raw_bracket(two_dim_space(),
+                                                         one, other)
+    assert raw_differential(space, one) == raw_differential(two_dim_space(),
+                                                            one)
+
+
+def test_canonical_construction_path(sp1):
+    """already_canonical=True takes the keys as they are, and still drops
+    zeros and out-of-profile keys, stores Fractions and raises on keys
+    outside the variant."""
+    prof = TruncationProfile(L=3, K=2, G=1, N=1)
+    inside, longer = (0, 1, ((0,),)), (0, 1, ((0,) * 5,))
+    x = LambdaElement(sp1, "lgv", prof,
+                      {inside: 2, (1, 0, ((0, 0, 0),)): F(0), longer: F(1)},
+                      already_canonical=True)
+    assert x.terms == {inside: F(2)}
+    assert type(x.terms[inside]) is F
+    with pytest.raises(UsageError):
+        LambdaElement(sp1, "lg", prof, {inside: F(1)},
+                      already_canonical=True)
+    assert x.replace_terms({inside: F(0)}).is_zero()
