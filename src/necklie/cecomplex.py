@@ -334,7 +334,9 @@ class TruncationProfile:
 
     L: max word length, K: max factor count, G: max gamma exponent,
     N: max nu exponent, P: max filtration order.  P defaults to the largest
-    filtration order reachable within the other bounds.
+    filtration order reachable within the other bounds.  Every bound must
+    be an int: a profile is part of the memo key of its basis slices, and
+    3.0 would hash like 3.
     """
 
     L: int
@@ -344,6 +346,11 @@ class TruncationProfile:
     P: int | None = None
 
     def __post_init__(self):
+        for name in ("L", "K", "G", "N", "P"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) or (name == "P" and value is None)):
+                raise UsageError(
+                    f"profile bound {name} must be an integer, got {value!r}")
         if self.P is None:
             object.__setattr__(self, "P", 2 * self.G + self.N + self.K - 1)
         if min(self.L, self.K, self.G, self.P) < 1 or self.N < 0:

@@ -9,6 +9,16 @@ exponent is at least 2; nothing else is normalized.  The filtration order
 2g + n + k - 1 is known before any word is drawn, so an order cut picks
 the factor count instead of filtering the whole profile.
 
+Each slice is enumerated once per space: ``enumerate_basis`` keeps it in
+the space's ``memo`` under ``("basis", spec)``, keyed by the frozen
+``WordSliceSpec`` or ``TensorSliceSpec`` alone, which never holds a
+coefficient.  Specs validate their fields when built (integer bounds and
+order, parity in {None, 0, 1}, a known variant), so a hit rejects what a
+miss rejects.  A miss enumerates through ``words._canonical_words`` and
+``words._canonical``, none of the functions ``bench/spans.py`` traces.
+Slices are shared, so they are read-only: ``elements`` is a tuple and
+``index`` a ``MappingProxyType``.
+
 Elimination is sparse Gaussian elimination over Fraction.  The pivot is
 the entry with the least Markowitz (1957) key ((row nnz - 1) * (col nnz -
 1), col, row), kept in a lazy heap: after a pivot only the entries whose
@@ -27,15 +37,23 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import combinations_with_replacement
+from types import MappingProxyType
 
-from .cecomplex import TruncationProfile, tensor_parity, variant_complaint
+from .cecomplex import (VARIANTS, TruncationProfile, tensor_parity,
+                        variant_complaint)
 from .errors import IntegrityError, SliceRangeError, UsageError
 from .space import SymplecticSpace
-from .words import canonical_words
+from .words import _canonical_words
 
 
 # ---------------------------------------------------------------------------
 # basis slices
+
+
+def _check_parity(parity) -> None:
+    if parity is not None and not (isinstance(parity, int)
+                                   and parity in (0, 1)):
+        raise UsageError(f"parity must be None, 0 or 1, got {parity!r}")
 
 
 @dataclass(frozen=True)
@@ -44,6 +62,13 @@ class WordSliceSpec:
     max_length: int
     min_length: int = 1
     parity: int | None = None
+
+    def __post_init__(self):
+        for bound in (self.max_length, self.min_length):
+            if not isinstance(bound, int):
+                raise UsageError(
+                    f"word lengths must be integers, got {bound!r}")
+        _check_parity(self.parity)
 
 
 @dataclass(frozen=True)
@@ -55,17 +80,32 @@ class TensorSliceSpec:
     parity: int | None = None
     order: int | None = None
 
+    def __post_init__(self):
+        if not isinstance(self.profile, TruncationProfile):
+            raise UsageError(f"not a truncation profile: {self.profile!r}")
+        if self.variant is not None and self.variant not in VARIANTS:
+            raise UsageError(
+                f"unknown variant {self.variant!r}; pick from {VARIANTS}")
+        _check_parity(self.parity)
+        if self.order is not None and not (isinstance(self.order, int)
+                                           and self.order >= 0):
+            raise UsageError(
+                f"order must be a nonnegative integer, got {self.order!r}")
+
 
 @dataclass(frozen=True)
 class BasisSlice:
+    """An ordered basis and the position of each element.  Memoized slices
+    are shared by every caller, so ``index`` is a read-only mapping."""
     space: SymplecticSpace
     kind: str                      # "word" or "tensor"
     elements: tuple
-    index: dict = field(compare=False, repr=False, default=None)
+    index: MappingProxyType = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "index",
-                           {e: i for i, e in enumerate(self.elements)})
+        object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "index", MappingProxyType(
+            {e: i for i, e in enumerate(self.elements)}))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -95,46 +135,63 @@ def _factor_counts(prof: TruncationProfile, g: int, n: int, order):
 
 
 def enumerate_basis(space: SymplecticSpace, constraints) -> BasisSlice:
-    """Complete deterministic enumeration of a constrained slice.
+    """Complete deterministic enumeration of a constrained slice, made
+    once per space and spec.
 
-    Word slices are ``canonical_words``.  Tensor slices run over the gamma
-    exponent g, then the nu exponent n, then the factor count k, then the
-    multisets of k words in ``combinations_with_replacement`` order.  The
-    words come from ``canonical_words(space, L)``, whose (length, word)
-    order is ``normalize_tensor``'s sort key, so each drawn multiset is a
-    canonical key with sign +1 and needs no normalizing.  The only zero
-    draws are two equal odd words next to each other and n >= 2 when nu
-    is odd; both are skipped.  The variant and parity cuts follow.
+    The slice is stored in ``space.memo`` under ``("basis", constraints)``
+    and every later call with an equal spec returns the same read-only
+    slice.  A spec is validated when it is built and holds no
+    coefficient; anything but a spec raises before the lookup.
+    """
+    if not isinstance(constraints, (WordSliceSpec, TensorSliceSpec)):
+        raise UsageError(f"unsupported constraint object: {constraints!r}")
+    key = ("basis", constraints)
+    found = space.memo.get(key)
+    if found is None:
+        found = space.memo[key] = _enumerate(space, constraints)
+    return found
+
+
+def _enumerate(space: SymplecticSpace, constraints) -> BasisSlice:
+    """The slice of a valid spec, through untraced internals only.
+
+    Word slices are ``_canonical_words``.  Tensor slices run over the
+    gamma exponent g, then the nu exponent n, then the factor count k,
+    then the multisets of k words in ``combinations_with_replacement``
+    order.  The words come from ``_canonical_words(space, L)``, whose
+    (length, word) order is ``normalize_tensor``'s sort key, so each drawn
+    multiset is a canonical key with sign +1 and needs no normalizing.
+    The only zero draws are two equal odd words next to each other and
+    n >= 2 when nu is odd; both are skipped.  The variant and parity cuts
+    follow.
     """
     if isinstance(constraints, WordSliceSpec):
-        words = canonical_words(space, constraints.max_length,
-                                constraints.min_length, constraints.parity)
-        return BasisSlice(space, "word", tuple(words))
-    if isinstance(constraints, TensorSliceSpec):
-        prof = constraints.profile
-        variant, parity = constraints.variant, constraints.parity
-        words = canonical_words(space, prof.L)
-        odd = [space.word_parity(w) == 1 for w in words]
-        n_top = min(prof.N, 1) if space.nu_parity == 1 else prof.N
-        out = []
-        for g in range(prof.G + 1):
-            for n in range(n_top + 1):
-                for k in _factor_counts(prof, g, n, constraints.order):
-                    for combo in combinations_with_replacement(
-                            range(len(words)), k):
-                        if any(a == b and odd[a]
-                               for a, b in zip(combo, combo[1:])):
-                            continue
-                        key = (g, n, tuple(words[i] for i in combo))
-                        if (variant is not None
-                                and variant_complaint(variant, key)):
-                            continue
-                        if (parity is not None
-                                and tensor_parity(space, key) != parity):
-                            continue
-                        out.append(key)
-        return BasisSlice(space, "tensor", tuple(out))
-    raise UsageError(f"unsupported constraint object: {constraints!r}")
+        words = _canonical_words(space, constraints.max_length,
+                                 constraints.min_length, constraints.parity)
+        return BasisSlice(space, "word", words)
+    prof = constraints.profile
+    variant, parity = constraints.variant, constraints.parity
+    words = _canonical_words(space, prof.L)
+    odd = [space.word_parity(w) == 1 for w in words]
+    n_top = min(prof.N, 1) if space.nu_parity == 1 else prof.N
+    out = []
+    for g in range(prof.G + 1):
+        for n in range(n_top + 1):
+            for k in _factor_counts(prof, g, n, constraints.order):
+                for combo in combinations_with_replacement(
+                        range(len(words)), k):
+                    if any(a == b and odd[a]
+                           for a, b in zip(combo, combo[1:])):
+                        continue
+                    key = (g, n, tuple(words[i] for i in combo))
+                    if (variant is not None
+                            and variant_complaint(variant, key)):
+                        continue
+                    if (parity is not None
+                            and tensor_parity(space, key) != parity):
+                        continue
+                    out.append(key)
+    return BasisSlice(space, "tensor", out)
 
 
 # ---------------------------------------------------------------------------

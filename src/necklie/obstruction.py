@@ -206,7 +206,12 @@ class HochschildReport:
 def hochschild_cohomology(h: Hamiltonian,
                           constraints: WordSliceSpec) -> HochschildReport:
     """Kernel mod image of ad(h) on the word slice, graded by length when
-    ad(h) shifts lengths uniformly."""
+    ad(h) shifts lengths uniformly.
+
+    The differential out of each degree (length, parity) is built once per
+    call and serves as d_out of that degree and d_in of the degree it maps
+    to.  It is not memoized across calls: it depends on the coefficients
+    of h."""
     _require_flat(h)
     space = h.space
     shift = _length_shift(h)
@@ -216,31 +221,41 @@ def hochschild_cohomology(h: Hamiltonian,
 
     def op(word):
         return bracket_combo(space, h.terms, {word: Fraction(1)})[0]
-    dims: dict = {}
-    reps: dict = {}
 
-    def slice_of(lo, hi, par):
-        if hi < max(lo, 1):
+    def slice_of(length, par):
+        if length < 1:
             return BasisSlice(space, "word", ())
         return enumerate_basis(space, WordSliceSpec(
-            max_length=hi, min_length=max(lo, 1), parity=par))
+            max_length=length, min_length=length, parity=par))
 
+    mats: dict = {}
+
+    def d(length, par):
+        """ad(h) out of the degree (length, par)."""
+        found = mats.get((length, par))
+        if found is None:
+            found = mats[(length, par)] = matrix_of_operator(
+                op, slice_of(length, par),
+                slice_of(length + shift, (par + 1) & 1))
+        return found
+
+    dims: dict = {}
+    reps: dict = {}
     for length in range(max(constraints.min_length, 1),
                         constraints.max_length + 1):
         for par in (0, 1):
             if constraints.parity is not None and par != constraints.parity:
                 continue
-            dom = slice_of(length, length, par)
-            cod = slice_of(length + shift, length + shift, (par + 1) & 1)
-            prev = slice_of(length - shift, length - shift, (par + 1) & 1)
-            hom = homology_dims(matrix_of_operator(op, prev, dom),
-                                matrix_of_operator(op, dom, cod))
+            dom = slice_of(length, par)
+            hom = homology_dims(d(length - shift, (par + 1) & 1),
+                                d(length, par))
             dims[(length, par)] = hom.homology_dim
             reps[(length, par)] = [_word_vector_to_ham(space, dom, v)
                                    for v in hom.representatives]
 
     bad_par = obstruction_parity(space)
-    odd_vanishes = all(d == 0 for k, d in dims.items() if k[1] == bad_par)
+    odd_vanishes = all(dim == 0 for k, dim in dims.items()
+                       if k[1] == bad_par)
     return HochschildReport(dims, reps, odd_vanishes, shift)
 
 
@@ -489,24 +504,32 @@ def kunneth_check(h: Hamiltonian, profile: TruncationProfile,
                   variant: str = "lgv", strict: bool = True) -> KunnethReport:
     """Slice cohomology of ad(h) on the full complex, computed directly and
     predicted from word cohomology; disagreement means a sign or truncation
-    bug (or a profile whose slices ad(h) does not preserve)."""
+    bug (or a profile whose slices ad(h) does not preserve).
+
+    Each differential, one per (order, parity), is built once per call.
+    It is not memoized across calls: it depends on the coefficients of
+    h."""
     _require_flat(h)
     space = h.space
+    # building the specs checks the profile and the variant before any work
+    specs = {(p, c): TensorSliceSpec(profile, variant, parity=c, order=p)
+             for p in range(profile.P + 1) for c in (0, 1)}
     word_report = hochschild_cohomology(
         h, WordSliceSpec(max_length=profile.L))
     op = _adjoint_op(space, {(0, 0, (w,)): c for w, c in h.terms.items()},
                      variant)
     direct: dict = {}
     try:
-        for p in range(0, profile.P + 1):
+        for p in range(profile.P + 1):
+            # ad(h) keeps the order and flips the parity, so the two
+            # differentials of order p serve both of its degrees
+            slices = {c: enumerate_basis(space, specs[(p, c)])
+                      for c in (0, 1)}
+            d = {c: matrix_of_operator(op, slices[c], slices[1 - c])
+                 for c in (0, 1)}
             for c in (0, 1):
-                dom = enumerate_basis(space, TensorSliceSpec(
-                    profile, variant, parity=c, order=p))
-                other = enumerate_basis(space, TensorSliceSpec(
-                    profile, variant, parity=(c + 1) & 1, order=p))
-                hom = homology_dims(matrix_of_operator(op, other, dom),
-                                    matrix_of_operator(op, dom, other))
-                if hom.homology_dim or len(dom):
+                hom = homology_dims(d[1 - c], d[c])
+                if hom.homology_dim or len(slices[c]):
                     direct[(p, c)] = hom.homology_dim
     except SliceRangeError as exc:
         raise UsageError(

@@ -64,15 +64,18 @@ def _invert(matrix):
 class SymplecticSpace:
     """Ordered generators with parities and an invertible graded pairing.
 
-    ``memo`` is the memo of the word and tensor layers for this instance.
-    The word layer (``words``, ``bialgebra``) stores the canonical
+    ``memo`` is the memo of the word, tensor and basis layers of this
+    instance.  The word layer (``words``, ``bialgebra``) stores the canonical
     rotation and sign of each letter sequence, the rotation list of each
     word, and the whole result of each word bracket and word cobracket,
     keyed by word tuples.  The tensor layer (``cecomplex``) stores the
     Leibniz bracket of each pair of tensor keys and the full differential
     gamma*delta + Delta of each tensor key, keyed by the keys
-    (g, n, words).  Keys never hold coefficients, so the memo grows with
-    the distinct words, keys and key pairs used, not with the number of
+    (g, n, words).  The basis layer (``linalg``) stores each enumerated
+    ``BasisSlice`` under ``("basis", spec)``, keyed by the frozen
+    ``WordSliceSpec`` or ``TensorSliceSpec``, one entry per distinct
+    spec.  Keys never hold coefficients, so the memo grows with the
+    distinct words, keys, key pairs and specs used, not with the number of
     calls.  It starts empty, is never shared, and lives and dies with the
     instance; it takes no part in equality or hashing.  Memoized results
     are read-only, and inputs are validated before every lookup.  A miss

@@ -12,9 +12,10 @@ Canonical rotations and rotation lists are memoized, as immutable tuples,
 in the space's ``memo`` (see ``SymplecticSpace``), keyed by the letter
 tuple, so each is computed once for the life of the space instance.
 ``_canonical`` owns the rotation rule and ``normalize_word`` is its
-validating public boundary.  A memoized function calls none of the
-functions ``bench/spans.py`` traces, so a traced caller makes the same
-traced calls on a cold space as on a warm one.  Validation always runs
+validating public boundary; ``_canonical_words`` enumerates through it,
+and ``canonical_words`` is its public name.  A memoized function calls
+none of the functions ``bench/spans.py`` traces, so a traced caller makes
+the same traced calls on a cold space as on a warm one.  Validation always runs
 before a lookup: ``(0.0,)`` hashes like ``(0,)``, and a hit must not
 accept what a miss would reject.
 """
@@ -96,23 +97,33 @@ def accumulate(terms: dict, key, coeff: Fraction) -> None:
         terms[key] = new
 
 
-def canonical_words(space: SymplecticSpace, max_length: int, min_length: int = 1,
-                    parity=None):
-    """All distinct canonical nonzero words with lengths in the given range.
-
-    Deterministic order: by length, then lexicographically.
-    """
+def _canonical_words(space: SymplecticSpace, max_length: int,
+                     min_length: int = 1, parity=None):
+    """``canonical_words`` through ``_canonical`` only, for memoized
+    callers whose misses must make no traced call."""
+    if min_length < 1 and min_length <= max_length:
+        raise UsageError("a word needs at least one letter")
     out = []
     seen = set()
     for length in range(min_length, max_length + 1):
         for seq in product(range(space.size), repeat=length):
-            nm = normalize_word(space, seq)
+            nm = _canonical(space, seq)
             if nm is None or nm[0] in seen:
                 continue
             seen.add(nm[0])
             if parity is None or space.word_parity(nm[0]) == parity:
                 out.append(nm[0])
     return out
+
+
+def canonical_words(space: SymplecticSpace, max_length: int, min_length: int = 1,
+                    parity=None):
+    """All distinct canonical nonzero words with lengths in the given range.
+
+    Deterministic order: by length, then lexicographically.  A nonempty
+    range that starts below length 1 raises UsageError.
+    """
+    return _canonical_words(space, max_length, min_length, parity)
 
 
 @dataclass

@@ -1,11 +1,13 @@
 import random
+import sys
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 
 from necklie import (SliceRangeError, TruncationProfile, UsageError, bracket,
-                     enumerate_basis, matrix_of_operator, solve_and_kernel,
-                     two_dim_space)
+                     enumerate_basis, kunneth_check, matrix_of_operator,
+                     one_dim_space, solve_and_kernel, two_dim_space)
 from necklie.cecomplex import filtration_order, normalize_tensor, tensor_parity
 from necklie.linalg import (BasisSlice, IntegrityError, SparseRationalMatrix,
                             TensorSliceSpec, WordSliceSpec, homology_dims)
@@ -13,7 +15,9 @@ from necklie.obstruction import (MCState, _adjoint_op, _slices_at,
                                  default_lift_profile, embed_hamiltonian)
 from necklie.words import Hamiltonian, canonical_words
 from oracles import (brute_force_tensor_slice, dense_rows, dense_solve,
-                     markowitz_free_columns, mat_vec, vec_mat)
+                     markowitz_free_columns, mat_vec, necklace_classes,
+                     vec_mat)
+from test_cecomplex import _three_generator_space
 
 F = Fraction
 
@@ -284,3 +288,136 @@ def test_tensor_slices_match_brute_force(request, space_name, profile):
                 assert got == want, (variant, parity, order)
                 checked += bool(want)
     assert checked > 0
+
+
+@pytest.mark.parametrize("make, profile", [
+    (one_dim_space, TruncationProfile(L=5, K=3, G=1, N=2, P=2)),
+    (two_dim_space, TruncationProfile(L=3, K=3, G=1, N=2, P=3)),
+    (_three_generator_space, TruncationProfile(L=3, K=2, G=1, N=2)),
+])
+def test_slices_cold_and_warm_match_the_oracles(make, profile):
+    """Word and tensor slices against references, first on a fresh space
+    (misses), then again (hits); the second pass stores nothing new and
+    returns the stored slices."""
+    space, ref = make(), make()        # the tensor oracle fills ref's memo
+    cases = []
+    for variant in (None, "lgv", "lg", "hq2"):
+        for parity in (None, 0, 1):
+            for order in (None, *range(profile.P + 2)):
+                cases.append((TensorSliceSpec(profile, variant, parity, order),
+                              brute_force_tensor_slice(ref, profile, variant,
+                                                       parity, order)))
+    for lo in (1, 2):
+        for hi in range(profile.L + 1):
+            for parity in (None, 0, 1):
+                words = sorted((w for n in range(lo, hi + 1)
+                                for w in necklace_classes(space.parities,
+                                                          space.size, n)),
+                               key=lambda w: (len(w), w))
+                cases.append((WordSliceSpec(hi, lo, parity), tuple(
+                    w for w in words if parity is None
+                    or sum(space.parities[x] for x in w) % 2 == parity)))
+    assert sum(bool(want) for _, want in cases) > len(cases) // 3
+    assert not space.memo
+    stored = None
+    for _ in range(2):
+        got = [enumerate_basis(space, spec) for spec, _ in cases]
+        for sl, (spec, want) in zip(got, cases):
+            assert sl.elements == want, spec
+            assert dict(sl.index) == {e: i for i, e in enumerate(want)}
+        if stored is None:
+            stored = dict(space.memo)
+        else:
+            assert space.memo == stored
+            assert all(a is stored[("basis", spec)]
+                       for a, (spec, _) in zip(got, cases))
+
+
+def test_a_miss_calls_no_public_word_function(monkeypatch):
+    """A traced caller must make the same traced calls whether a slice is
+    stored or not, so a miss reaches the word layer through its private
+    bodies only."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a public word function ran on a miss")
+    for name, module in list(sys.modules.items()):
+        if name.startswith("necklie"):
+            for fn in ("canonical_words", "normalize_word"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, refuse)
+    space = _three_generator_space()
+    assert len(enumerate_basis(space, WordSliceSpec(3, 2, 1))) > 0
+    assert len(enumerate_basis(space, TensorSliceSpec(
+        TruncationProfile(L=3, K=2, G=1, N=1), "lgv", 0, 2))) > 0
+
+
+def _invalid_specs(profile):
+    return {
+        "float bound": lambda: TensorSliceSpec(TruncationProfile(
+            L=3.0, K=2, G=1, N=1)),
+        "float P": lambda: TensorSliceSpec(TruncationProfile(
+            L=3, K=2, G=1, N=1, P=4.0)),
+        "parity 2": lambda: TensorSliceSpec(profile, "lgv", parity=2),
+        "float parity": lambda: TensorSliceSpec(profile, "lgv", parity=1.0),
+        "negative order": lambda: TensorSliceSpec(profile, "lgv", order=-1),
+        "float order": lambda: TensorSliceSpec(profile, "lgv", order=1.0),
+        "unknown variant": lambda: TensorSliceSpec(profile, "bogus"),
+        "not a profile": lambda: TensorSliceSpec((3, 2, 1, 1)),
+        "float length": lambda: WordSliceSpec(3.0),
+        "float min length": lambda: WordSliceSpec(3, min_length=1.0),
+        "word parity 2": lambda: WordSliceSpec(3, parity=2),
+        "word parity -1": lambda: WordSliceSpec(3, parity=-1),
+        "not a spec": lambda: object(),
+    }
+
+
+@pytest.mark.parametrize("make, h_word", [(one_dim_space, (0, 0, 0)),
+                                          (two_dim_space, (0, 0))])
+def test_invalid_specs_raise_on_fresh_and_warm_spaces(make, h_word):
+    """Each invalid spec raises UsageError before any slice is made, also
+    once its valid neighbours (3 for 3.0, parity 1, variant lgv, order 1)
+    are stored."""
+    space = make()
+    profile = TruncationProfile(L=3, K=2, G=1, N=1)
+    h = Hamiltonian(space, {h_word: F(1)})
+    for warm in (False, True):
+        before = dict(space.memo)
+        for name, make_spec in _invalid_specs(profile).items():
+            with pytest.raises(UsageError):
+                enumerate_basis(space, make_spec())
+                pytest.fail(name)
+        with pytest.raises(UsageError, match="unknown variant"):
+            kunneth_check(h, profile, "bogus", strict=False)
+        assert not any(key[0] == "basis" and key not in before
+                       for key in space.memo)
+        if not warm:
+            for variant in (None, "lgv"):
+                for order in (None, 1):
+                    for parity in (None, 0, 1):
+                        enumerate_basis(space, TensorSliceSpec(
+                            profile, variant, parity, order))
+            for parity in (None, 1):
+                enumerate_basis(space, WordSliceSpec(3, parity=parity))
+            kunneth_check(h, profile, "lgv", strict=False)
+
+
+def test_shared_slices_are_read_only():
+    space = two_dim_space()
+    spec = WordSliceSpec(max_length=3)
+    sl = enumerate_basis(space, spec)
+    assert enumerate_basis(space, spec) is sl
+    first = sl.elements[0]
+    with pytest.raises(TypeError):
+        sl.index[first] = 5
+    with pytest.raises(TypeError):
+        del sl.index[first]
+    with pytest.raises(FrozenInstanceError):
+        sl.elements = ()
+    assert isinstance(BasisSlice(space, "word", [first]).elements, tuple)
+    vec = sl.vector_of({first: F(2)})
+    vec[0] = F(7)
+    assert sl.vector_of({first: F(2)})[0] == F(2)
+    terms = sl.combination(vec)
+    terms.clear()
+    assert sl.combination(vec) == {first: F(7)}
+    assert enumerate_basis(space, spec).index == {
+        w: i for i, w in enumerate(canonical_words(space, 3))}

@@ -201,6 +201,44 @@ def test_extend_step_reuses_the_obstruction_matrix(sp1, t3, monkeypatch):
     assert len(built) == 2
 
 
+def test_each_differential_is_built_once_per_call(t3, xx, monkeypatch):
+    """The differential out of each degree is built once per call and is
+    also d_in of the degree it maps to; the answers are unchanged."""
+    built = []
+
+    def counting(op, dom, cod):
+        built.append((len(dom), len(cod)))
+        return matrix_of_operator(op, dom, cod)
+    monkeypatch.setattr(obstruction, "matrix_of_operator", counting)
+
+    # shift 0: one differential out of each (length, parity), length 1-4
+    rep = hochschild_cohomology(xx, WordSliceSpec(max_length=4))
+    assert len(built) == 2 * 4
+    assert rep.dims == {(n, p): 0 for n in range(1, 5) for p in (0, 1)}
+    assert rep.flat_representatives() == []
+
+    # shift 1: lengths 0-7, the two of length 0 with an empty domain
+    built.clear()
+    rep = hochschild_cohomology(t3, WordSliceSpec(max_length=7))
+    assert len(built) == 2 * 8
+    assert {k: v for k, v in rep.dims.items() if v} == {
+        (1, 1): 1, (3, 1): 1, (5, 1): 1, (7, 1): 1}
+    assert [h.terms for h in rep.flat_representatives()] == [
+        {(0,) * n: F(1)} for n in (1, 3, 5, 7)]
+
+    # the word table of lengths 0-5, then two differentials per order 0-4
+    built.clear()
+    rep = kunneth_check(t3, TruncationProfile(L=5, K=2, G=1, N=1))
+    assert len(built) == 2 * 6 + 2 * 5
+    assert rep.agree
+    assert rep.direct == {(0, 1): 2, (1, 0): 6, (2, 1): 6, (3, 0): 6,
+                          (4, 1): 3}
+    built.clear()
+    rep = kunneth_check(xx, TruncationProfile(L=3, K=2, G=1, N=1))
+    assert len(built) == 2 * 3 + 2 * 5
+    assert rep.direct == {(p, c): 0 for p in range(5) for c in (0, 1)}
+
+
 def test_two_generator_lift_to_order_two(sp2):
     """The default order-2 profile has 11 752 tensors in each level-2
     slice."""
