@@ -440,6 +440,11 @@ class TruncatedCombination:
         return type(self)(self.space, self.variant, self.profile, terms,
                           already_canonical=True)
 
+    def with_profile(self, profile: TruncationProfile):
+        """The same terms under another profile, cut by its caps."""
+        return type(self)(self.space, self.variant, profile, self.terms,
+                          already_canonical=True)
+
     def is_zero(self) -> bool:
         return not self.terms
 

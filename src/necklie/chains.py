@@ -13,8 +13,8 @@ canonicalized once, block by block, by ``chain_normalize`` at the
 ``CEChainElement`` boundary; everything else keeps the invariant and only
 re-sorts the outer blocks through ``sort_blocks``, the one owner of the
 outer rule.  Products concatenate canonical blocks, and the contractions
-of ``chain_delta`` place one new block, canonical as ``raw_differential``
-and ``raw_bracket`` return it, among canonical neighbours.
+of ``chain_delta`` place one new block, canonical as the tensor layer
+returns it, among canonical neighbours.
 
 The outer differential applies d to one block, or contracts two blocks
 through the tensor bracket into one, with the same front-loading sign
@@ -25,19 +25,33 @@ gauge parameter into one block.  The outer filtration order is
 word length <= L of the profile.  Order and block count add under the
 product and word lengths do not change, so ``chain_mul`` never forms a
 pair that exceeds the left operand's P or K.
+
+Both operations are sums of one memoized result per chain key, stored in
+the space's ``memo``.  ``chain_mul`` reads the product of each key pair
+that passes the caps under ``("chain_product", k1, k2)``: the sorted key
+with its sign, the nu-crossing sign folded in, or None when it vanishes.
+``chain_delta`` sums the full outer differential of each key, stored
+under ``("chain_delta", with_nu, key)`` as a read-only mapping.  Entries
+are uncut and carry no coefficient; the caller's ``replace_terms``
+applies its own profile.  A miss goes through the tensor layer's
+untraced bodies (``cecomplex._key_differential`` and ``_key_bracket``)
+and ``sort_blocks`` only, never a function ``bench/spans.py`` traces.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .cecomplex import (LambdaElement, TruncatedCombination,
-                        TruncationProfile, koszul_sort, normalize_tensor,
-                        raw_bracket, raw_differential, tensor_parity,
-                        unshuffle)
+                        TruncationProfile, _add_scaled, _key_bracket,
+                        _key_differential, koszul_sort, normalize_tensor,
+                        tensor_parity, unshuffle)
 from .errors import UsageError
 from .space import SymplecticSpace
 from .words import accumulate
+
+_MISSING = object()
 
 
 def block_parity(space: SymplecticSpace, block) -> int:
@@ -133,89 +147,114 @@ def embed_element(x: LambdaElement,
                           already_canonical=True)
 
 
+def _key_product(space: SymplecticSpace, k1, k2):
+    """Memoized product of two chain keys: the sorted key with its sign,
+    the nu-crossing sign folded in, or None when it vanishes."""
+    memo_key = ("chain_product", k1, k2)
+    found = space.memo.get(memo_key, _MISSING)
+    if found is _MISSING:
+        (G1, N1, bl1), (G2, N2, bl2) = k1, k2
+        found = sort_blocks(space, G1 + G2, N1 + N2, bl1 + bl2)
+        # the nu-prefix of the right key crosses every block of the left
+        left_par = sum(block_parity(space, b) for b in bl1)
+        if found is not None and N2 * space.nu_parity * left_par & 1:
+            found = found[0], -found[1]
+        space.memo[memo_key] = found
+    return found
+
+
 def chain_mul(a: CEChainElement, b: CEChainElement) -> CEChainElement:
     """Graded product: concatenate block lists, nu-prefix crossing the left.
     A pair past the order or block cap of a's profile is not formed."""
     a._check_compatible(b)
     space = a.space
-    nu_par = space.nu_parity
     max_order, max_blocks = a.profile.P, a.profile.K
-    right = [(key, chain_order(key), c2) for key, c2 in b.terms.items()]
+    right = [(key, chain_order(key), len(key[2]), c2)
+             for key, c2 in b.terms.items()]
     out: dict = {}
     for key1, c1 in a.terms.items():
-        G1, N1, bl1 = key1
         room = max_order - chain_order(key1)
-        slots = max_blocks - len(bl1)
-        left_par = sum(block_parity(space, blk) for blk in bl1) & 1
-        for (G2, N2, bl2), order2, c2 in right:
-            if order2 > room or len(bl2) > slots:
+        slots = max_blocks - len(key1[2])
+        for key2, order2, count2, c2 in right:
+            if order2 > room or count2 > slots:
                 continue
-            nm = sort_blocks(space, G1 + G2, N1 + N2, bl1 + bl2)
+            found = _key_product(space, key1, key2)
+            if found is not None:
+                accumulate(out, found[0],
+                           (c1 if found[1] > 0 else -c1) * c2)
+    return a.replace_terms(out)
+
+
+def _key_delta(space: SymplecticSpace, key, with_nu: bool):
+    """Memoized outer differential of one chain key, read-only: d on each
+    block plus the contraction of each pair of blocks."""
+    memo_key = ("chain_delta", with_nu, key)
+    found = space.memo.get(memo_key)
+    if found is not None:
+        return found
+    G, N, blocks = key
+    nu_par = space.nu_parity
+    out: dict = {}
+    r = len(blocks)
+    bpars = [block_parity(space, b) for b in blocks]
+    for i in range(r):
+        pre = sum(bpars[:i]) & 1
+        for (g2, n2, ws2), c2 in _key_differential(
+                space, (0, 0, blocks[i])).items():
+            if not ws2 or (not with_nu and n2):
+                continue
+            cpar = (tensor_parity(space, (g2, n2, ws2)) - bpars[i]) & 1
+            flip = (cpar * (N * nu_par + pre) + n2 * nu_par * pre) & 1
+            nb = blocks[:i] + (ws2,) + blocks[i + 1:]
+            nm = sort_blocks(space, G + g2, N + n2, nb)
             if nm is None:
                 continue
-            sign = -nm[1] if N2 * nu_par * left_par & 1 else nm[1]
-            accumulate(out, nm[0], (c1 if sign > 0 else -c1) * c2)
-    return a.replace_terms(out)
+            sign = -nm[1] if flip else nm[1]
+            accumulate(out, nm[0], c2 if sign > 0 else -c2)
+    for i in range(r):
+        for j in range(i + 1, r):
+            pre_i = sum(bpars[:i]) & 1
+            pre_j = (sum(bpars[:j]) - bpars[i]) & 1
+            flip = (bpars[i] * pre_i + bpars[j] * pre_j + bpars[i]) & 1
+            rest = tuple(b for l, b in enumerate(blocks) if l not in (i, j))
+            bracket_into_block(out, space, G, N, -1 if flip else 1,
+                               (0, 0, blocks[i]), (0, 0, blocks[j]),
+                               bpars[i] + bpars[j], rest, with_nu)
+    found = space.memo[memo_key] = MappingProxyType(out)
+    return found
 
 
 def chain_delta(x: CEChainElement) -> CEChainElement:
     """Outer differential: d on one block plus bracket contraction of pairs."""
     if x.variant == "hq2":
         return x.replace_terms({})
-    space = x.space
-    nu_par = space.nu_parity
     with_nu = x.variant == "lgv"
     out: dict = {}
-    for (G, N, blocks), c0 in x.terms.items():
-        r = len(blocks)
-        bpars = [block_parity(space, b) for b in blocks]
-        for i in range(r):
-            pre = sum(bpars[:i]) & 1
-            dblock = raw_differential(space, {(0, 0, blocks[i]): Fraction(1)},
-                                      with_nu=with_nu)
-            for (g2, n2, ws2), c2 in dblock.items():
-                if not ws2:
-                    continue
-                cpar = (tensor_parity(space, (g2, n2, ws2)) - bpars[i]) & 1
-                flip = (cpar * (N * nu_par + pre) + n2 * nu_par * pre) & 1
-                nb = blocks[:i] + (ws2,) + blocks[i + 1:]
-                nm = sort_blocks(space, G + g2, N + n2, nb)
-                if nm is None:
-                    continue
-                sign = -nm[1] if flip else nm[1]
-                accumulate(out, nm[0], (c0 if sign > 0 else -c0) * c2)
-        for i in range(r):
-            for j in range(i + 1, r):
-                pre_i = sum(bpars[:i]) & 1
-                pre_j = (sum(bpars[:j]) - bpars[i]) & 1
-                flip = (bpars[i] * pre_i + bpars[j] * pre_j + bpars[i]) & 1
-                rest = tuple(b for l, b in enumerate(blocks) if l not in (i, j))
-                bracket_into_block(out, space, G, N, -c0 if flip else c0,
-                                   {(0, 0, blocks[i]): Fraction(1)},
-                                   {(0, 0, blocks[j]): Fraction(1)},
-                                   bpars[i] + bpars[j], rest, with_nu)
+    for key, c in x.terms.items():
+        _add_scaled(out, c, _key_delta(x.space, key, with_nu))
     return x.replace_terms(out)
 
 
 def bracket_into_block(out: dict, space: SymplecticSpace, G: int, N: int,
-                       coeff: Fraction, a: dict, b: dict, consumed: int,
-                       rest: tuple, with_nu: bool) -> None:
-    """Accumulate coeff * [a, b] into out as one block in front of rest,
-    in place of blocks of total parity consumed of a chain with prefixes
-    G, N.  Results without words or with a nu outside the variant drop;
-    the contracted parity (result's less consumed) crosses the N nu's.
-    The caller's front-loading sign comes in coeff.  The blocks of rest
-    and of the bracket are canonical, so only the outer sort runs."""
+                       sign: int, k1, k2, consumed: int, rest: tuple,
+                       with_nu: bool) -> None:
+    """Accumulate sign * [k1, k2] of two tensor keys into out as one block
+    in front of rest, in place of blocks of total parity consumed of a
+    chain with prefixes G, N.  Results without words or with a nu outside
+    the variant drop; the contracted parity (result's less consumed)
+    crosses the N nu's.  sign (+1 or -1) is the caller's front-loading
+    sign.  The blocks of rest and of the bracket are canonical, so only
+    the outer sort runs."""
     nu_par = space.nu_parity
-    for (g2, n2, ws2), c2 in raw_bracket(space, a, b).items():
+    for (g2, n2, ws2), c2 in _key_bracket(space, k1, k2).items():
         if not ws2 or (not with_nu and n2):
             continue
         cpar = (tensor_parity(space, (g2, n2, ws2)) - consumed) & 1
         nm = sort_blocks(space, G + g2, N + n2, (ws2,) + rest)
         if nm is None:
             continue
-        sign = -nm[1] if cpar * N * nu_par & 1 else nm[1]
-        accumulate(out, nm[0], (coeff if sign > 0 else -coeff) * c2)
+        s = -nm[1] if cpar * N * nu_par & 1 else nm[1]
+        accumulate(out, nm[0], c2 if s == sign else -c2)
 
 
 def chain_coproduct(x: CEChainElement) -> dict:

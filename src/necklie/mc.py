@@ -23,6 +23,14 @@ satisfying rate_y = delta o (embed(y) . -) + (embed(y) . -) o delta for
 odd y, so that exp(rate_y) matches ch of the flowed element.  Its bracket
 of y into one block is ``chains.bracket_into_block``, the contraction of
 the outer differential.
+
+The bracket part of the rate is a sum of one memoized result per pair of
+a tensor key of y and a chain key, stored in the space's ``memo`` under
+``("chain_rate", with_nu, ykey, ckey)`` as a read-only mapping of uncut
+terms; ``embed(dy) . c`` goes through ``chain_mul`` and its own entries.
+The chain-key pool of ``homotopy_check`` is stored as a tuple under
+``("chain_pool", variant, profile, limit)``.  No entry carries a
+coefficient, and a miss calls no function ``bench/spans.py`` traces.
 """
 
 from __future__ import annotations
@@ -30,17 +38,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from types import MappingProxyType
 
 from .bialgebra import IdentityResult
-from .cecomplex import (LambdaElement, TruncationProfile, lambda_bracket,
-                        lambda_differential, normalize_tensor,
+from .cecomplex import (LambdaElement, TruncationProfile, _add_scaled,
+                        _tensor, lambda_bracket, lambda_differential,
                         unbounded_profile)
 from .chains import (CEChainElement, block_parity, bracket_into_block,
                      chain_delta, chain_mul, chain_order, chain_unit,
                      embed_element, sort_blocks)
 from .errors import PreconditionError, UsageError
 from .space import SymplecticSpace
-from .words import canonical_words
+from .words import _canonical_words
 
 GAUGE_PARITY = 1          # flow directions are odd for both pairing parities
 _SERIES_LIMIT = 60
@@ -150,6 +159,25 @@ def left_product(y: LambdaElement, c: CEChainElement) -> CEChainElement:
     return chain_mul(embed_element(y, c.profile), c)
 
 
+def _key_rate(space: SymplecticSpace, ykey, ckey, with_nu: bool):
+    """Memoized bracket of the tensor key ykey into each block of the chain
+    key ckey, signed and summed, read-only."""
+    memo_key = ("chain_rate", with_nu, ykey, ckey)
+    found = space.memo.get(memo_key)
+    if found is None:
+        G, N, blocks = ckey
+        out: dict = {}
+        bpars = [block_parity(space, b) for b in blocks]
+        for i, block in enumerate(blocks):
+            pre = sum(bpars[:i]) & 1
+            rest = tuple(b for l, b in enumerate(blocks) if l != i)
+            sign = 1 if bpars[i] * pre & 1 else -1
+            bracket_into_block(out, space, G, N, sign, ykey, (0, 0, block),
+                               bpars[i], rest, with_nu)
+        found = space.memo[memo_key] = MappingProxyType(out)
+    return found
+
+
 def gauge_rate(y: LambdaElement, c: CEChainElement) -> CEChainElement:
     """Infinitesimal gauge action on chains: embed(dy).c minus the signed
     bracket of y into each block."""
@@ -157,15 +185,9 @@ def gauge_rate(y: LambdaElement, c: CEChainElement) -> CEChainElement:
     with_nu = c.variant == "lgv"
     dy = lambda_differential(y)
     out = dict(chain_mul(embed_element(dy, c.profile), c).terms)
-    for (G, N, blocks), c0 in c.terms.items():
-        bpars = [block_parity(space, b) for b in blocks]
-        for i, block in enumerate(blocks):
-            pre = sum(bpars[:i]) & 1
-            rest = tuple(b for l, b in enumerate(blocks) if l != i)
-            coeff = c0 if bpars[i] * pre & 1 else -c0
-            bracket_into_block(out, space, G, N, coeff, y.terms,
-                               {(0, 0, block): Fraction(1)}, bpars[i], rest,
-                               with_nu)
+    for ckey, cc in c.terms.items():
+        for ykey, cy in y.terms.items():
+            _add_scaled(out, cc * cy, _key_rate(space, ykey, ckey, with_nu))
     return c.replace_terms(out)
 
 
@@ -195,16 +217,21 @@ class HomotopyReport:
 
 
 def _chain_pool(space, variant, profile, limit):
-    """Deterministic small family of chain keys inside the profile; its
-    blocks are canonical tensors, so keys need only the outer sort."""
-    words = canonical_words(space, min(profile.L, 4))
+    """Deterministic small family of chain keys inside the profile, as a
+    tuple memoized per (variant, profile, limit); its blocks are canonical
+    tensors, so keys need only the outer sort."""
+    memo_key = ("chain_pool", variant, profile, limit)
+    found = space.memo.get(memo_key)
+    if found is not None:
+        return found
+    words = _canonical_words(space, min(profile.L, 4))
     blocks = []
     for w in words:
         if len(w) >= 2:
             blocks.append((w,))
     for a in range(len(words)):
         for b in range(a, len(words)):
-            nm = normalize_tensor(space, 0, 0, (words[a], words[b]))
+            nm = _tensor(space, 0, 0, (words[a], words[b]))
             if nm is not None:
                 blocks.append(nm[0][2])
     blocks = sorted(set(blocks),
@@ -218,7 +245,9 @@ def _chain_pool(space, variant, profile, limit):
                     nm = sort_blocks(space, g, n, combo)
                     if nm is not None and chain_order(nm[0]) <= profile.P:
                         pool.add(nm[0])
-    return sorted(pool, key=lambda k: (chain_order(k), k))[:limit]
+    found = space.memo[memo_key] = tuple(
+        sorted(pool, key=lambda k: (chain_order(k), k))[:limit])
+    return found
 
 
 def homotopy_check(y: LambdaElement, x, profile: TruncationProfile,
@@ -241,8 +270,7 @@ def homotopy_check(y: LambdaElement, x, profile: TruncationProfile,
 
     op = IdentityResult("rate equals commutator with left multiplication")
     wide = unbounded_profile()
-    y_wide = LambdaElement(space, variant, wide, y.terms,
-                           already_canonical=True)
+    y_wide = y.with_profile(wide)
     for key in _chain_pool(space, variant, profile, pool_limit):
         e = CEChainElement(space, variant, wide, {key: Fraction(1)},
                            already_canonical=True)
@@ -252,10 +280,8 @@ def homotopy_check(y: LambdaElement, x, profile: TruncationProfile,
         op.record(lhs == rhs, lambda k=key: f"chain {k}")
 
     flow = IdentityResult("exponential of the rate matches the flowed class")
-    x_prof = LambdaElement(space, variant, profile, v.terms,
-                           already_canonical=True)
-    y_prof = LambdaElement(space, variant, profile, y.terms,
-                           already_canonical=True)
+    x_prof = v.with_profile(profile)
+    y_prof = y.with_profile(profile)
     flowed = _flow(y_prof, x_prof)
     lhs = exp_chain(flowed, profile)
     rhs = exp_gauge_rate(y_prof, exp_chain(x_prof, profile))

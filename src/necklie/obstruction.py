@@ -21,7 +21,8 @@ from math import comb
 
 from .bialgebra import CobracketValue, bracket, bracket_combo, cobracket
 from .cecomplex import (LambdaElement, TruncationProfile, filtration_order,
-                        raw_bracket, unbounded_profile, variant_cut)
+                        lambda_bracket, raw_bracket, unbounded_profile,
+                        variant_cut)
 from .errors import (IntegrityError, PreconditionError, SliceRangeError,
                      UsageError)
 from .linalg import (BasisSlice, TensorSliceSpec, WordSliceSpec,
@@ -211,9 +212,18 @@ def hochschild_cohomology(h: Hamiltonian,
     The differential out of each degree (length, parity) is built once per
     call and serves as d_out of that degree and d_in of the degree it maps
     to.  It is not memoized across calls: it depends on the coefficients
-    of h."""
-    _require_flat(h)
+    of h.
+
+    ad(h) squares to zero only when it is odd, that is when the parity of
+    h differs from the form parity; an h of the form's parity raises
+    UsageError."""
     space = h.space
+    if h.parity() == space.form_parity:
+        raise UsageError(
+            f"ad(h) is even: h has parity {h.parity()} and the form has "
+            f"parity {space.form_parity}; cohomology needs an odd ad(h), "
+            f"from an h of parity {1 - space.form_parity}")
+    _require_flat(h)
     shift = _length_shift(h)
     if shift is None:
         raise UsageError("ad(h) mixes word lengths; analyze "
@@ -292,21 +302,16 @@ def obstruction_class(state: MCState) -> ObstructionReport:
     level = state.level + 1
     o = state.residual().component_of_order(level)
 
+    base = state.components[0]
     wide = unbounded_profile()
-    h_terms = state.components[0].terms
-    o_wide = LambdaElement(state.space, state.variant, wide, o.terms,
-                           already_canonical=True)
-    h_wide = LambdaElement(state.space, state.variant, wide, h_terms,
-                           already_canonical=True)
-    from .cecomplex import lambda_bracket
-    commutator = lambda_bracket(h_wide, o_wide)
+    commutator = lambda_bracket(base.with_profile(wide), o.with_profile(wide))
     if not commutator.is_zero():
         raise IntegrityError(
             f"order-{level} residual component is not an adjoint cocycle; "
             f"[h, o] has {len(commutator.terms)} terms")
 
     cand, obst = _slices_at(state, level)
-    op = _adjoint_op(state.space, h_terms, state.variant)
+    op = _adjoint_op(state.space, base.terms, state.variant)
     matrix = matrix_of_operator(op, cand, obst)
     rhs = obst.vector_of({k: -c for k, c in o.terms.items()})
     solved = solve_and_kernel(matrix, rhs)

@@ -74,9 +74,15 @@ class SymplecticSpace:
     (g, n, words).  The basis layer (``linalg``) stores each enumerated
     ``BasisSlice`` under ``("basis", spec)``, keyed by the frozen
     ``WordSliceSpec`` or ``TensorSliceSpec``, one entry per distinct
-    spec.  Keys never hold coefficients, so the memo grows with the
-    distinct words, keys, key pairs and specs used, not with the number of
-    calls.  It starts empty, is never shared, and lives and dies with the
+    spec.  The chain layer (``chains``, ``mc``) stores the product of each
+    pair of chain keys under ``("chain_product", k1, k2)``, the outer
+    differential of each chain key under ``("chain_delta", with_nu,
+    key)``, the bracket of each tensor key of a gauge parameter into the
+    blocks of each chain key under ``("chain_rate", with_nu, ykey,
+    ckey)``, and the chain-key pool of the homotopy check under
+    ``("chain_pool", variant, profile, limit)``.  Keys never hold
+    coefficients, so the memo grows with the distinct words, keys, key
+    pairs and specs used, not with the number of calls.  It starts empty, is never shared, and lives and dies with the
     instance; it takes no part in equality or hashing.  Memoized results
     are read-only, and inputs are validated before every lookup.  A miss
     computes through untraced internals only, none of the functions

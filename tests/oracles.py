@@ -525,3 +525,165 @@ def oracle_tensor_differential(parities, omega, form_parity, terms,
     if not with_nu:
         out = {key: v for key, v in out.items() if key[1] == 0}
     return out
+
+
+# ---------------------------------------------------------------------------
+# the outer differential and the gauge rate on chains, item by item
+#
+# A chain gamma^G nu^N (B_1 ... B_r) is laid out as a list of items: N
+# nu's, then the blocks.  An operator crosses every item before the place
+# it acts on, new nu's move left to the prefix one swap at a time, and the
+# blocks are bubble-sorted last.  Tensor results come from the uncached
+# tensor oracles above.
+
+
+def _chain_item_parity(parities, nu_parity, item):
+    if item == _NU:
+        return nu_parity
+    return sum(parities[x] for w in item for x in w) & 1
+
+
+def _crossing(parity, op_parity, items):
+    sign = 1
+    for item in items:
+        sign *= (-1) ** (op_parity * parity(item))
+    return sign
+
+
+def oracle_chain_key(parities, nu_parity, G, items):
+    """Canonical chain key of gamma^G times items (nu's and blocks in any
+    order) with its sign, or None when the chain is zero."""
+    par = lambda item: _chain_item_parity(parities, nu_parity, item)
+    items = list(items)
+    sign = 1
+    N = 0
+    while _NU in items:
+        items, s = _moved(items, par, items.index(_NU), 0)
+        sign *= s
+        items.pop(0)
+        N += 1
+    if nu_parity and N >= 2:
+        return None
+    blocks = []
+    for block in items:
+        nm = oracle_tensor_key(parities, nu_parity, 0, 0, block)
+        if nm is None:
+            return None
+        blocks.append(nm[0][2])
+        sign *= nm[1]
+    srt = _bubble_sort(blocks, lambda b: (len(b), [(len(w), w) for w in b]),
+                       par)
+    if srt is None:
+        return None
+    return (G, N, srt[0]), sign * srt[1]
+
+
+def _add_chain(out, parities, nu_parity, G, items, coeff, caps):
+    """Accumulate coeff * gamma^G items, canonicalized and then cut by the
+    caps (P, K, L)."""
+    nm = oracle_chain_key(parities, nu_parity, G, items)
+    if nm is None:
+        return
+    (G, N, blocks), sign = nm
+    P, K, L = caps
+    if (2 * G + N + sum(len(b) - 1 for b in blocks) > P or len(blocks) > K
+            or any(len(w) > L for b in blocks for w in b)):
+        return
+    _accumulate(out, (G, N, blocks), coeff * sign)
+
+
+def _tensor_item_parity(parities, nu_parity, key):
+    g, n, ws = key
+    return (sum(parities[x] for w in ws for x in w) + n * nu_parity) & 1
+
+
+def oracle_chain_delta(parities, omega, form_parity, terms, caps, variant):
+    """Outer differential of a chain combination {(G, N, blocks): c}, cut
+    by caps (P, K, L): zero in hq2, its nu-free part in lg.
+
+    d of block i is the tensor differential of that block; each of its
+    terms is an operator of the parity it changes, which crosses every
+    item before the block.  For a pair i < j, block i moves to the front
+    of the blocks and block j behind it by adjacent swaps, with one more
+    sign (-1)**parity(block i); their tensor bracket crosses the nu's.
+    """
+    if variant == "hq2":
+        return {}
+    with_nu = variant == "lgv"
+    nu_parity = 1 - form_parity
+    par = lambda item: _chain_item_parity(parities, nu_parity, item)
+    out: dict = {}
+    for (G, N, blocks), c in terms.items():
+        items = [_NU] * N + list(blocks)
+        for i in range(N, len(items)):
+            block = items[i]
+            image = oracle_tensor_differential(
+                parities, omega, form_parity, {(0, 0, block): Fraction(1)},
+                with_nu)
+            for (g, n, ws), cw in image.items():
+                op = (_tensor_item_parity(parities, nu_parity, (g, n, ws))
+                      - par(block)) & 1
+                sign = _crossing(par, op, items[:i])
+                _add_chain(out, parities, nu_parity, G + g,
+                           items[:i] + [_NU] * n + [ws] + items[i + 1:],
+                           c * cw * sign, caps)
+        for i in range(N, len(items)):
+            for j in range(i + 1, len(items)):
+                moved, s1 = _moved(items, par, i, N)
+                moved, s2 = _moved(moved, par, j, N + 1)
+                first, second = moved[N], moved[N + 1]
+                sign = s1 * s2 * (-1) ** par(first)
+                image = oracle_tensor_bracket(
+                    parities, omega, form_parity,
+                    {(0, 0, first): Fraction(1)},
+                    {(0, 0, second): Fraction(1)})
+                for (g, n, ws), cw in image.items():
+                    if n and not with_nu:
+                        continue
+                    op = (_tensor_item_parity(parities, nu_parity, (g, n, ws))
+                          - par(first) - par(second)) & 1
+                    _add_chain(out, parities, nu_parity, G + g,
+                               moved[:N] + [_NU] * n + [ws] + moved[N + 2:],
+                               c * cw * sign * _crossing(par, op, moved[:N]),
+                               caps)
+    return out
+
+
+def oracle_gauge_rate(parities, omega, form_parity, y, terms, caps, variant):
+    """Gauge rate embed(dy) . c - sum_i (+/-) [y, B_i] . (c without B_i) of
+    a tensor combination y on a chain combination c, cut by caps (P, K, L).
+
+    dy is the tensor differential of y (zero in hq2, nu-free in lg), each
+    term a one-block chain multiplied on the left through oracle_chain_mul.
+    For the bracket part, block i moves to the front of the blocks by
+    adjacent swaps, y is bracketed into it, and the bracket crosses the
+    nu's.
+    """
+    with_nu = variant == "lgv"
+    nu_parity = 1 - form_parity
+    par = lambda item: _chain_item_parity(parities, nu_parity, item)
+    dy = ({} if variant == "hq2" else oracle_tensor_differential(
+        parities, omega, form_parity, y, with_nu))
+    out = oracle_chain_mul(parities, nu_parity,
+                           {(g, n, (ws,)): c for (g, n, ws), c in dy.items()},
+                           terms, caps)
+    for (G, N, blocks), c in terms.items():
+        items = [_NU] * N + list(blocks)
+        for i in range(N, len(items)):
+            moved, s1 = _moved(items, par, i, N)
+            block = moved[N]
+            for ykey, cy in y.items():
+                image = oracle_tensor_bracket(parities, omega, form_parity,
+                                              {ykey: Fraction(1)},
+                                              {(0, 0, block): Fraction(1)})
+                for (g, n, ws), cw in image.items():
+                    if n and not with_nu:
+                        continue
+                    op = (_tensor_item_parity(parities, nu_parity, (g, n, ws))
+                          - par(block)) & 1
+                    _add_chain(out, parities, nu_parity, G + g,
+                               moved[:N] + [_NU] * n + [ws] + moved[N + 1:],
+                               -c * cy * cw * s1 * _crossing(par, op,
+                                                             moved[:N]),
+                               caps)
+    return out

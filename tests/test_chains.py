@@ -6,10 +6,16 @@ import pytest
 
 from necklie import (CEChainElement, LambdaElement, TruncationProfile,
                      UsageError, chain_delta, chain_mul, chain_unit,
-                     embed_element, lambda_differential, unbounded_profile)
+                     embed_element, lambda_differential, one_dim_space,
+                     two_dim_space, unbounded_profile)
+from necklie.cecomplex import VARIANTS
 from necklie.chains import chain_normalize, chain_order, chain_parity
+from necklie.mc import gauge_rate
 from necklie.words import canonical_words
-from oracles import oracle_chain_mul
+from oracles import (necklace_classes, omega_matrix, oracle_chain_delta,
+                     oracle_chain_key, oracle_chain_mul, oracle_gauge_rate,
+                     oracle_tensor_key)
+from test_cecomplex import _three_generator_space
 
 F = Fraction
 
@@ -228,3 +234,88 @@ def test_chain_mul_with_binding_caps_against_oracle(sp1, sp2):
                         dropped["K"] += count > left_prof.K
                         dropped["L"] += longest > left_prof.L
         assert min(dropped.values()) > 20, dropped
+
+
+def _random_chain_terms(rng, space, words, variant, count):
+    """count canonical chain terms of 0-3 blocks of 1-2 words, through
+    the oracle; N stays 0 in the gamma-only variant."""
+    terms: dict = {}
+    while len(terms) < count:
+        blocks = [tuple(rng.choice(words) for _ in range(rng.randint(1, 2)))
+                  for _ in range(rng.randint(0, 3))]
+        nus = rng.randint(0, 0 if variant == "lg" else 1)
+        nm = oracle_chain_key(space.parities, space.nu_parity,
+                              rng.randint(0, 1), ["nu"] * nus + blocks)
+        if nm is not None:
+            terms[nm[0]] = F(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+    return terms
+
+
+def _random_parameter_terms(rng, space, words, variant):
+    """1-2 tensor keys of the variant whose differential stays in it."""
+    terms: dict = {}
+    while len(terms) < rng.randint(1, 2):
+        if variant == "hq2":
+            g, n, ws = 0, 0, [rng.choice([w for w in words if len(w) >= 2])]
+        else:
+            g = rng.randint(0, 1)
+            n = rng.randint(0, 1) if variant == "lgv" else 0
+            ws = [rng.choice(words) for _ in range(rng.randint(1, 2))]
+        nm = oracle_tensor_key(space.parities, space.nu_parity, g, n, ws)
+        if nm is None:
+            continue
+        # lg drops terms of definition order below 2, and d lowers it by 2
+        g, n, ws = nm[0]
+        if variant == "hq2" or g + n + sum(len(w) for w in ws) >= 4:
+            terms[nm[0]] = F(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+    return terms
+
+
+@pytest.mark.parametrize("make, max_len", [
+    (one_dim_space, 5), (two_dim_space, 3), (_three_generator_space, 3)])
+def test_chain_operations_cold_and_warm_match_the_oracles(make, max_len):
+    """chain_mul, chain_delta and gauge_rate against references that cache
+    nothing, first on a fresh space (misses), then again (hits): the
+    second pass adds no memo entry."""
+    space = make()
+    pars, fp = space.parities, space.form_parity
+    omega = omega_matrix(space.form)
+    words = sorted(w for length in range(1, max_len + 1)
+                   for w in necklace_classes(pars, space.size, length))
+    profiles = (unbounded_profile(),
+                TruncationProfile(L=max_len + 1, K=3, G=2, N=2, P=4),
+                TruncationProfile(L=max_len, K=2, G=2, N=2, P=3))
+    rng = random.Random(4099)
+    samples = []
+    for variant in VARIANTS:
+        for _ in range(6):
+            prof = rng.choice(profiles)
+            a = CEChainElement(space, variant, prof, _random_chain_terms(
+                rng, space, words, variant, 4), already_canonical=True)
+            b = CEChainElement(space, variant, rng.choice(profiles),
+                               _random_chain_terms(rng, space, words,
+                                                   variant, 4),
+                               already_canonical=True)
+            y = LambdaElement(space, variant, unbounded_profile(),
+                              _random_parameter_terms(rng, space, words,
+                                                      variant),
+                              already_canonical=True)
+            caps = (prof.P, prof.K, prof.L)
+            want = (
+                oracle_chain_mul(pars, space.nu_parity, a.terms, b.terms,
+                                 caps),
+                oracle_chain_delta(pars, omega, fp, a.terms, caps, variant),
+                oracle_gauge_rate(pars, omega, fp, y.terms, a.terms, caps,
+                                  variant))
+            samples.append((a, b, y, want))
+    assert any(w[1] for *_, w in samples)
+    assert any(w[2] for *_, w in samples)
+    assert not space.memo
+    for rounds in range(2):
+        for a, b, y, (product, delta, rate) in samples:
+            assert chain_mul(a, b).terms == product, (a, b)
+            assert chain_delta(a).terms == delta, a
+            assert gauge_rate(y, a).terms == rate, (y, a)
+        if rounds == 0:
+            filled = len(space.memo)
+    assert len(space.memo) == filled

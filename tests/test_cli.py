@@ -115,6 +115,13 @@ def test_hochschild_text(capsys):
     assert "obstruction-parity part vanishes: yes" in out
 
 
+def test_hochschild_refuses_an_even_adjoint(capsys):
+    code, out, err = run(capsys, "hochschild", "1 w[x,xi]", "--space",
+                         SPACE_2D, "--length", "3")
+    assert code == 2 and not out
+    assert "ad(h) is even: h has parity 1 and the form has parity 1" in err
+
+
 def test_lift_dichotomy(capsys):
     code, out, _ = run(capsys, "lift", "1 w[t,t,t]", "--order", "2",
                        "--variant", "lg")

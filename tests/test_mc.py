@@ -1,16 +1,20 @@
 import random
+import sys
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
+import necklie.cecomplex as cecomplex
 from necklie import (LambdaElement, PreconditionError, TruncationProfile,
                      UsageError, char_class, embed_element, embed_hamiltonian,
                      gauge_act, general_solution_sample, homotopy_check,
-                     mc_residual)
+                     mc_residual, two_dim_space)
 from necklie.cecomplex import normalize_tensor, variant_complaint
 from necklie.chains import CEChainElement, chain_delta, chain_mul
-from necklie.mc import (MCCandidate, as_candidate, candidate_parity,
-                        class_residual_identity, exp_chain)
+from necklie.mc import (MCCandidate, _chain_pool, as_candidate,
+                        candidate_parity, class_residual_identity, exp_chain,
+                        gauge_rate)
 from necklie.words import Hamiltonian, canonical_words
 
 F = Fraction
@@ -242,3 +246,76 @@ def test_even_pairing_exponential_collapses(sp1):
     res = mc_residual(x)
     defect = chain_delta(cx) - chain_mul(embed_element(res), cx)
     assert defect.terms == {(0, 1, ((t,), (t3,))): F(-3)}
+
+
+def _orbit_job(space, x_coeffs, y_coeffs):
+    """One gauge step, its homotopy check and the class of the endpoint."""
+    prof = TruncationProfile(L=3, K=3, G=3, N=5, P=5)
+    x = LambdaElement(space, "lgv", prof,
+                      {(0, 0, ((X, X),)): x_coeffs[0],
+                       (1, 0, ((X, X),)): x_coeffs[1]})
+    y = LambdaElement(space, "lgv", prof,
+                      {(0, 1, ((XI,),)): y_coeffs[0],
+                       (1, 0, ((XI,),)): y_coeffs[1]})
+    flowed = gauge_act(y, x)
+    assert homotopy_check(y, x, prof).passed
+    return char_class(flowed)
+
+
+def test_chain_memo_keys_carry_no_coefficients():
+    """A second orbit job with the same keys and new coefficients adds no
+    memo entry, and the chain entries are read-only."""
+    space = two_dim_space()
+    _orbit_job(space, (F(2), F(-1)), (F(1), F(1, 3)))
+    filled = len(space.memo)
+    kinds = {k[0] for k in space.memo}
+    assert {"chain_product", "chain_delta", "chain_rate",
+            "chain_pool"} <= kinds
+    cls = _orbit_job(space, (F(-7, 2), F(5)), (F(-3), F(2, 9)))
+    assert len(space.memo) == filled
+    assert cls == _orbit_job(two_dim_space(), (F(-7, 2), F(5)),
+                             (F(-3), F(2, 9)))
+    for key, entry in space.memo.items():
+        if key[0] in ("chain_delta", "chain_rate"):
+            assert isinstance(entry, MappingProxyType)
+            with pytest.raises(TypeError):
+                entry[(0, 0, ())] = F(1)
+        elif key[0] in ("chain_product", "chain_pool"):
+            assert entry is None or isinstance(entry, tuple)
+
+
+def test_a_chain_miss_calls_no_traced_function(monkeypatch):
+    """A cold chain product, outer differential, rate and pool reach the
+    tensor and word layers through their private bodies only; the one
+    raw_differential call is the rate's own dy."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a traced function ran on a miss")
+    seen = []
+
+    def counted(space, terms, with_nu=True):
+        seen.append(dict(terms))
+        return original(space, terms, with_nu)
+    original = cecomplex.raw_differential
+    for name, module in list(sys.modules.items()):
+        if name.startswith("necklie"):
+            for fn in ("raw_bracket", "normalize_tensor", "canonical_words",
+                       "normalize_word", "chain_normalize"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, refuse)
+            if hasattr(module, "raw_differential"):
+                monkeypatch.setattr(module, "raw_differential", counted)
+    space = two_dim_space()
+    prof = TruncationProfile(L=4, K=3, G=2, N=2)
+    pool = _chain_pool(space, "lgv", prof, 40)
+    assert len(pool) == 40 and _chain_pool(space, "lgv", prof, 40) is pool
+    c = CEChainElement(space, "lgv", prof,
+                       {key: F(i + 1) for i, key in enumerate(pool)},
+                       already_canonical=True)
+    assert not chain_mul(c, c).is_zero()
+    assert not chain_delta(c).is_zero()
+    assert not seen
+    y = LambdaElement(space, "lgv", prof, {(0, 0, ((X, X, XI),)): F(1),
+                                           (0, 1, ((XI,),)): F(2)},
+                      already_canonical=True)
+    assert not gauge_rate(y, c).is_zero()
+    assert seen == [y.terms]

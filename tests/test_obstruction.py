@@ -4,9 +4,9 @@ import pytest
 
 import necklie.obstruction as obstruction
 from necklie import (Hamiltonian, LambdaElement, PreconditionError,
-                     TruncationProfile, UsageError, canonical_words,
+                     TruncationProfile, UsageError, bracket, canonical_words,
                      hochschild_cohomology, kunneth_check, lift,
-                     one_dim_space, quantum_constraint_check)
+                     one_dim_space, quantum_constraint_check, two_dim_space)
 from necklie.cecomplex import raw_bracket
 from necklie.linalg import (TensorSliceSpec, WordSliceSpec, enumerate_basis,
                             matrix_of_operator, solve_and_kernel)
@@ -17,6 +17,7 @@ from necklie.obstruction import (MCState, _adjoint_op, _slices_at,
                                  hochschild_differential, obstruction_class,
                                  obstruction_parity)
 from oracles import dense_rows, dense_solve
+from test_cecomplex import _three_generator_space
 
 F = Fraction
 
@@ -98,6 +99,25 @@ def test_word_cohomology_rejects_mixed_lengths(sp1):
     mixed = Hamiltonian(sp1, {(0, 0, 0): F(1), (0,) * 5: F(1)})
     with pytest.raises(UsageError, match="mixes word lengths"):
         hochschild_cohomology(mixed, WordSliceSpec(max_length=3))
+
+
+@pytest.mark.parametrize("make, letters", [
+    (two_dim_space, (0, 1)),               # w[x,xi]: odd h, odd form
+    (_three_generator_space, (1, 1)),      # w[p,p]: even h, even form
+])
+def test_word_cohomology_refuses_an_even_adjoint(make, letters):
+    """ad(h) squares to zero only when it is odd; an h of the form's
+    parity is refused by name before any slice is built."""
+    space = make()
+    h = Hamiltonian(space, {letters: F(1)})
+    assert h.parity() == space.form_parity
+    assert bracket(h, h, max_length=None).is_zero()      # flat all the same
+    with pytest.raises(UsageError) as err:
+        hochschild_cohomology(h, WordSliceSpec(max_length=3))
+    message = str(err.value)
+    assert f"h has parity {space.form_parity}" in message
+    assert f"form has parity {space.form_parity}" in message
+    assert not any(k[0] == "basis" for k in space.memo)
 
 
 def test_obstruction_dichotomy(sp1, t3):
