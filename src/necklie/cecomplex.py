@@ -44,7 +44,15 @@ call only untraced internals (``bialgebra._bracket`` and ``_cobracket``,
 Operation results enter ``TruncatedCombination`` with
 ``already_canonical=True``: their keys are canonical and distinct, so the
 constructor checks the variant, cuts by the profile and drops zeros, but
-does not normalize or merge them again.
+does not normalize or merge them again.  The closed operations skip even
+that, because the result's own profile and variant provably admit its
+keys: ``+`` and ``-`` of elements with equal profiles, ``scale``,
+``component_of_order``, ``chains``' ``capped``, and ``chains.chain_mul``
+when its right operand's L is at most its left's (the pair skip enforces
+P and K, and only longer words on the right could bring in a key the
+left's L refuses).  They build their results through
+``TruncatedCombination._admitted``, which checks nothing; every other
+result goes through ``replace_terms``.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from types import MappingProxyType
 from .bialgebra import _bracket, _cobracket
 from .errors import UsageError
 from .space import SymplecticSpace
-from .words import _canonical, accumulate, checked_word
+from .words import _canonical, accumulate, checked_word, exact_fraction
 
 VARIANTS = ("lgv", "lg", "hq2")
 
@@ -396,7 +404,18 @@ class TruncatedCombination:
     """Truncated rational combination of canonical (g, n, factors) keys in
     one variant.  A subclass says how a key is normalized (_normalize),
     which keys raise (_complaint) and which keys its profile keeps
-    (_keeps); terms outside the profile are dropped silently."""
+    (_keeps); terms outside the profile are dropped silently.
+
+    Raw input goes through __init__, operation results through
+    replace_terms.  The closed operations build their results with
+    _admitted and check no key again: + and - with an operand of the same
+    profile, whose keys each passed that profile; scale, which keeps the
+    keys (scale(0) keeps none); component_of_order and capped, which only
+    drop keys; and chain_mul when its right operand's L is at most its
+    left's.  The product needs that condition: its pair skip enforces the
+    left's P and K, and word lengths do not change, so only a right
+    operand with longer words brings in a key the left's L refuses.
+    Coefficients are exact: a float raises UsageError."""
 
     __slots__ = ("space", "variant", "profile", "terms")
 
@@ -410,16 +429,16 @@ class TruncatedCombination:
         self.profile = profile
         clean: dict = {}
         for key, coeff in (terms or {}).items():
+            if type(coeff) is not Fraction:
+                coeff = exact_fraction(coeff)
             if already_canonical:
                 # the keys of a dict are distinct: nothing to merge
                 if not coeff:
                     continue
                 self._check(key)
                 if self._keeps(key):
-                    clean[key] = (coeff if type(coeff) is Fraction
-                                  else Fraction(coeff))
+                    clean[key] = coeff
                 continue
-            coeff = Fraction(coeff)
             if coeff == 0:
                 continue
             nm = self._normalize(*key)
@@ -445,6 +464,17 @@ class TruncatedCombination:
         return type(self)(self.space, self.variant, profile, self.terms,
                           already_canonical=True)
 
+    def _admitted(self, terms: dict):
+        """An element of self's type, space, variant and profile holding
+        terms whose keys these already admit, with nonzero Fraction
+        coefficients: the one constructor of the closed operations, which
+        checks nothing again."""
+        out = object.__new__(type(self))
+        out.space, out.variant, out.profile = (
+            self.space, self.variant, self.profile)
+        out.terms = terms
+        return out
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -455,22 +485,27 @@ class TruncatedCombination:
                 and self.terms == other.terms)
 
     def __add__(self, other):
-        self._check_compatible(other)
-        merged = dict(self.terms)
-        for k, c in other.terms.items():
-            accumulate(merged, k, c)
-        return self.replace_terms(merged)
+        return self._merge(other, 1)
 
     def __sub__(self, other):
+        return self._merge(other, -1)
+
+    def _merge(self, other, sign: int):
+        """self + sign * other in self's profile; closed when the profiles
+        are equal, since other's keys then pass self's caps."""
         self._check_compatible(other)
         merged = dict(self.terms)
         for k, c in other.terms.items():
-            accumulate(merged, k, -c)
+            accumulate(merged, k, c if sign > 0 else -c)
+        if other.profile == self.profile:
+            return self._admitted(merged)
         return self.replace_terms(merged)
 
     def scale(self, c):
-        c = Fraction(c)
-        return self.replace_terms({k: v * c for k, v in self.terms.items()})
+        c = exact_fraction(c)
+        if not c:
+            return self._admitted({})
+        return self._admitted({k: v * c for k, v in self.terms.items()})
 
     def _check_compatible(self, other) -> None:
         if type(other) is not type(self):
@@ -508,8 +543,8 @@ class LambdaElement(TruncatedCombination):
         return min((filtration_order(k) for k in self.terms), default=None)
 
     def component_of_order(self, p: int) -> "LambdaElement":
-        return self.replace_terms({k: c for k, c in self.terms.items()
-                                   if filtration_order(k) == p})
+        return self._admitted({k: c for k, c in self.terms.items()
+                               if filtration_order(k) == p})
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ class CEChainElement(TruncatedCombination):
                 and all(len(w) <= self.profile.L for b in blocks for w in b))
 
     def capped(self, max_order: int, max_blocks: int) -> "CEChainElement":
-        return self.replace_terms(
+        return self._admitted(
             {k: c for k, c in self.terms.items()
              if chain_order(k) <= max_order and len(k[2]) <= max_blocks})
 
@@ -165,7 +165,8 @@ def _key_product(space: SymplecticSpace, k1, k2):
 
 def chain_mul(a: CEChainElement, b: CEChainElement) -> CEChainElement:
     """Graded product: concatenate block lists, nu-prefix crossing the left.
-    A pair past the order or block cap of a's profile is not formed."""
+    A pair past the order or block cap of a's profile is not formed, so
+    the product is closed in a's profile unless b admits longer words."""
     a._check_compatible(b)
     space = a.space
     max_order, max_blocks = a.profile.P, a.profile.K
@@ -182,6 +183,8 @@ def chain_mul(a: CEChainElement, b: CEChainElement) -> CEChainElement:
             if found is not None:
                 accumulate(out, found[0],
                            (c1 if found[1] > 0 else -c1) * c2)
+    if b.profile.L <= a.profile.L:
+        return a._admitted(out)
     return a.replace_terms(out)
 
 

@@ -31,6 +31,11 @@ terms; ``embed(dy) . c`` goes through ``chain_mul`` and its own entries.
 The chain-key pool of ``homotopy_check`` is stored as a tuple under
 ``("chain_pool", variant, profile, limit)``.  No entry carries a
 coefficient, and a miss calls no function ``bench/spans.py`` traces.
+
+embed(dy) depends on y and on the chain profile only, so it is taken once
+per caller and handed to the rate body ``_rate``: once per call of
+``gauge_rate``, once per series of ``exp_gauge_rate``, and once for the
+whole pool loop of ``homotopy_check``, which embeds y once there too.
 """
 
 from __future__ import annotations
@@ -154,11 +159,6 @@ def char_class(x) -> CEChainElement:
     return exp_chain(cand.value)
 
 
-def left_product(y: LambdaElement, c: CEChainElement) -> CEChainElement:
-    """Multiplication by y embedded as a one-block chain."""
-    return chain_mul(embed_element(y, c.profile), c)
-
-
 def _key_rate(space: SymplecticSpace, ykey, ckey, with_nu: bool):
     """Memoized bracket of the tensor key ykey into each block of the chain
     key ckey, signed and summed, read-only."""
@@ -178,22 +178,29 @@ def _key_rate(space: SymplecticSpace, ykey, ckey, with_nu: bool):
     return found
 
 
-def gauge_rate(y: LambdaElement, c: CEChainElement) -> CEChainElement:
-    """Infinitesimal gauge action on chains: embed(dy).c minus the signed
-    bracket of y into each block."""
+def _rate(y: LambdaElement, dy: CEChainElement,
+          c: CEChainElement) -> CEChainElement:
+    """Body of gauge_rate, given dy = embed(d y) in c's profile."""
     space = c.space
     with_nu = c.variant == "lgv"
-    dy = lambda_differential(y)
-    out = dict(chain_mul(embed_element(dy, c.profile), c).terms)
+    out = dict(chain_mul(dy, c).terms)
     for ckey, cc in c.terms.items():
         for ykey, cy in y.terms.items():
             _add_scaled(out, cc * cy, _key_rate(space, ykey, ckey, with_nu))
     return c.replace_terms(out)
 
 
+def gauge_rate(y: LambdaElement, c: CEChainElement) -> CEChainElement:
+    """Infinitesimal gauge action on chains: embed(dy).c minus the signed
+    bracket of y into each block."""
+    return _rate(y, embed_element(lambda_differential(y), c.profile), c)
+
+
 def exp_gauge_rate(y: LambdaElement, c: CEChainElement) -> CEChainElement:
-    """Operator exponential of the rate, truncated by c's profile."""
-    return _series(c, lambda t, m: gauge_rate(y, t).scale(Fraction(1, m)))
+    """Operator exponential of the rate, truncated by c's profile; every
+    term of the series has that profile, so dy is embedded once."""
+    dy = embed_element(lambda_differential(y), c.profile)
+    return _series(c, lambda t, m: _rate(y, dy, t).scale(Fraction(1, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +278,14 @@ def homotopy_check(y: LambdaElement, x, profile: TruncationProfile,
     op = IdentityResult("rate equals commutator with left multiplication")
     wide = unbounded_profile()
     y_wide = y.with_profile(wide)
+    # every chain of the loop has the wide profile: embed y and dy once
+    dy_wide = embed_element(lambda_differential(y_wide), wide)
+    left = embed_element(y_wide, wide)
     for key in _chain_pool(space, variant, profile, pool_limit):
         e = CEChainElement(space, variant, wide, {key: Fraction(1)},
                            already_canonical=True)
-        lhs = gauge_rate(y_wide, e)
-        rhs = (chain_delta(left_product(y_wide, e))
-               + left_product(y_wide, chain_delta(e)))
+        lhs = _rate(y_wide, dy_wide, e)
+        rhs = chain_delta(chain_mul(left, e)) + chain_mul(left, chain_delta(e))
         op.record(lhs == rhs, lambda k=key: f"chain {k}")
 
     flow = IdentityResult("exponential of the rate matches the flowed class")

@@ -22,7 +22,8 @@ from .linalg import WordSliceSpec
 from .mc import MCCandidate, mc_residual
 from .obstruction import hochschild_cohomology, lift
 from .space import SymplecticSpace, one_dim_space
-from .words import Hamiltonian, accumulate, canonical_words, normalize_word
+from .words import (Hamiltonian, accumulate, canonical_words, exact_fraction,
+                    normalize_word)
 
 
 def make_family(coeffs: dict | None = None,
@@ -32,17 +33,18 @@ def make_family(coeffs: dict | None = None,
     Keys are the indices i >= 1, so {1: 1} builds t^3.  The nontrivial
     pairing value is a test knob, not part of the example.
     """
+    pairing = exact_fraction(pairing)
     if pairing == 0:
         raise UsageError("the pairing must be invertible")
     space = (one_dim_space() if pairing == 1 else
-             SymplecticSpace(("t",), (1,), ((Fraction(pairing),),), 0))
+             SymplecticSpace(("t",), (1,), ((pairing,),), 0))
     terms = {}
     for i, c in (coeffs or {}).items():
         if not isinstance(i, int) or i < 1:
             raise UsageError(
                 f"index {i!r} invalid: coefficients attach to t^(2i+1) "
                 f"with integer i >= 1, keeping every power odd and >= 3")
-        terms[(0,) * (2 * i + 1)] = Fraction(c)
+        terms[(0,) * (2 * i + 1)] = exact_fraction(c)
     h = Hamiltonian(space, terms)
     if not (bracket_raw(space, (0,), (0,))[0] == {}):
         raise IntegrityError("one-generator bracket produced word terms")
@@ -59,7 +61,7 @@ def general_solution_sample(assignment: dict,
     space = one_dim_space()
     terms: dict = {}
     for (i, rs), c in assignment.items():
-        c = Fraction(c)
+        c = exact_fraction(c)
         if c == 0:
             continue
         if not isinstance(i, int) or i < 0:

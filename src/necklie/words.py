@@ -86,6 +86,16 @@ def normalize_word(space: SymplecticSpace, letters):
 _ZERO = Fraction(0)
 
 
+def exact_fraction(value) -> Fraction:
+    """A user coefficient as a Fraction, or UsageError naming a float: a
+    binary float is not the number it was typed as (Fraction(0.1) is
+    3602879701896397/36028797018963968), so it never enters exact data."""
+    if isinstance(value, float):
+        raise UsageError(f"coefficient {value!r} is a float; give an int, "
+                         f"a Fraction or a string such as '1/10'")
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def accumulate(terms: dict, key, coeff: Fraction) -> None:
     """Add coeff to terms[key], deleting the entry if it cancels to zero."""
     if coeff == 0:
@@ -143,7 +153,7 @@ class Hamiltonian:
     def __post_init__(self):
         clean: dict = {}
         for word, coeff in self.terms.items():
-            coeff = Fraction(coeff)
+            coeff = exact_fraction(coeff)
             if coeff == 0:
                 continue
             if self.max_length is not None and len(word) > self.max_length:
@@ -153,7 +163,7 @@ class Hamiltonian:
                 continue
             accumulate(clean, nm[0], coeff * nm[1])
         self.terms = clean
-        self.scalar = Fraction(self.scalar)
+        self.scalar = exact_fraction(self.scalar)
 
     def is_zero(self) -> bool:
         return not self.terms and self.scalar == 0
@@ -181,6 +191,6 @@ class Hamiltonian:
         return Hamiltonian(self.space, merged, self.scalar + other.scalar, bound)
 
     def scale(self, c) -> "Hamiltonian":
-        c = Fraction(c)
+        c = exact_fraction(c)
         return Hamiltonian(self.space, {w: v * c for w, v in self.terms.items()},
                            self.scalar * c, self.max_length)

@@ -482,3 +482,28 @@ def test_canonical_construction_path(sp1):
         LambdaElement(sp1, "lg", prof, {inside: F(1)},
                       already_canonical=True)
     assert x.replace_terms({inside: F(0)}).is_zero()
+
+
+def test_elements_refuse_float_coefficients(sp1, sp2):
+    """The raw and canonical construction paths and scale refuse a float
+    and name it, for complex and chain elements alike."""
+    prof = TruncationProfile(L=3, K=2, G=1, N=1)
+    key = (0, 0, ((0, 0),))
+    for canonical in (False, True):
+        with pytest.raises(UsageError, match="0.1"):
+            LambdaElement(sp2, "lgv", prof, {key: 0.1},
+                          already_canonical=canonical)
+        with pytest.raises(UsageError, match="0.0"):
+            LambdaElement(sp2, "lgv", prof, {key: 0.0},
+                          already_canonical=canonical)
+        with pytest.raises(UsageError, match="0.5"):
+            CEChainElement(sp2, "lgv", prof, {(0, 0, ((0, 0),)): 0.5},
+                           already_canonical=canonical)
+    x = LambdaElement(sp2, "lgv", prof, {key: "1/10"})
+    assert x.terms == {key: F(1, 10)}
+    with pytest.raises(UsageError, match="0.1"):
+        x.scale(0.1)
+    assert x.scale(10).terms == {key: F(1)}
+    t3 = LambdaElement(sp1, "lgv", prof, {(0, 1, ((0, 0, 0),)): 1})
+    with pytest.raises(UsageError, match="2.0"):
+        t3.scale(2.0)

@@ -8,10 +8,10 @@ from necklie import (CEChainElement, LambdaElement, TruncationProfile,
                      UsageError, chain_delta, chain_mul, chain_unit,
                      embed_element, lambda_differential, one_dim_space,
                      two_dim_space, unbounded_profile)
-from necklie.cecomplex import VARIANTS
+from necklie.cecomplex import VARIANTS, filtration_order, variant_complaint
 from necklie.chains import chain_normalize, chain_order, chain_parity
 from necklie.mc import gauge_rate
-from necklie.words import canonical_words
+from necklie.words import accumulate, canonical_words
 from oracles import (necklace_classes, omega_matrix, oracle_chain_delta,
                      oracle_chain_key, oracle_chain_mul, oracle_gauge_rate,
                      oracle_tensor_key)
@@ -319,3 +319,100 @@ def test_chain_operations_cold_and_warm_match_the_oracles(make, max_len):
         if rounds == 0:
             filled = len(space.memo)
     assert len(space.memo) == filled
+
+
+def _random_tensor_terms(rng, space, words, variant, count):
+    """Up to count canonical tensor keys of the variant, gamma 0-2 and nu
+    0-1 (0 in the gamma-only variant), through the oracle."""
+    terms: dict = {}
+    for _ in range(3 * count):
+        nm = oracle_tensor_key(space.parities, space.nu_parity,
+                               rng.randint(0, 2),
+                               rng.randint(0, 0 if variant == "lg" else 1),
+                               [rng.choice(words)
+                                for _ in range(rng.randint(1, 3))])
+        if nm is not None and variant_complaint(variant, nm[0]) is None:
+            terms[nm[0]] = F(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+        if len(terms) == count:
+            break
+    return terms
+
+
+def _same_element(got, want):
+    """Equal type, space, variant, profile and terms, with nonzero Fraction
+    coefficients; == ignores the profile, which a result must keep."""
+    assert type(got) is type(want)
+    assert (got.space, got.variant, got.profile) == (
+        want.space, want.variant, want.profile)
+    assert got.terms == want.terms
+    assert all(type(c) is F and c for c in got.terms.values())
+
+
+@pytest.mark.parametrize("make, max_len", [
+    (one_dim_space, 5), (two_dim_space, 3), (_three_generator_space, 3)])
+def test_closed_arithmetic_equals_the_checked_path(make, max_len):
+    """+, -, scale, capped, component_of_order and chain_mul build their
+    results without checking a key again; each equals replace_terms of the
+    dict it formed.  Two kinds of case must still cut, and do: a sum whose
+    right operand has another profile, and a product whose right operand
+    admits longer words than the left."""
+    space = make()
+    words = sorted(w for length in range(1, max_len + 1)
+                   for w in necklace_classes(space.parities, space.size,
+                                             length))
+    profiles = (unbounded_profile(),
+                TruncationProfile(L=max_len + 1, K=3, G=2, N=2, P=4),
+                TruncationProfile(L=max_len, K=2, G=1, N=1, P=3),
+                TruncationProfile(L=max_len - 1, K=3, G=2, N=1, P=4))
+    no_cap = unbounded_profile().L
+    rng = random.Random(6007)
+    cuts = {"sum": 0, "product": 0}
+    for variant in ("lgv", "lg"):
+        for _ in range(12):
+            prof, other_prof = rng.choice(profiles), rng.choice(profiles)
+            chains = [CEChainElement(space, variant, p, _random_chain_terms(
+                rng, space, words, variant, 6), already_canonical=True)
+                for p in (prof, prof, other_prof)]
+            tensors = [LambdaElement(space, variant, p, _random_tensor_terms(
+                rng, space, words, variant, 6), already_canonical=True)
+                for p in (prof, prof, other_prof)]
+            for a, b, other in (chains, tensors):
+                for right in (b, other):
+                    total, diff = dict(a.terms), dict(a.terms)
+                    for k, c in right.terms.items():
+                        accumulate(total, k, c)
+                        accumulate(diff, k, -c)
+                    _same_element(a + right, a.replace_terms(total))
+                    _same_element(a - right, a.replace_terms(diff))
+                    cuts["sum"] += len(a.replace_terms(total).terms) < len(
+                        total)
+                for c in (F(rng.randint(1, 4), rng.randint(1, 3)),
+                          F(-rng.randint(1, 4), rng.randint(1, 3)), 0):
+                    _same_element(a.scale(c), a.replace_terms(
+                        {k: v * c for k, v in a.terms.items()}))
+            a, b, other = chains
+            wide = CEChainElement(space, variant, unbounded_profile(),
+                                  _random_chain_terms(rng, space, words,
+                                                      variant, 6),
+                                  already_canonical=True)
+            for max_order, max_blocks in ((rng.randint(0, 4),
+                                           rng.randint(0, 3)), (0, 0)):
+                _same_element(a.capped(max_order, max_blocks),
+                              a.replace_terms({
+                                  k: c for k, c in a.terms.items()
+                                  if chain_order(k) <= max_order
+                                  and len(k[2]) <= max_blocks}))
+            for right in (b, other, wide):
+                # the pairs chain_mul forms: cut by a's P and K, not by L
+                formed = oracle_chain_mul(space.parities, space.nu_parity,
+                                          a.terms, right.terms,
+                                          (prof.P, prof.K, no_cap))
+                checked = a.replace_terms(formed)
+                _same_element(chain_mul(a, right), checked)
+                cuts["product"] += len(checked.terms) < len(formed)
+            x = tensors[0]
+            for p in range(5):
+                _same_element(x.component_of_order(p), x.replace_terms({
+                    k: c for k, c in x.terms.items()
+                    if filtration_order(k) == p}))
+    assert min(cuts.values()) >= 3, cuts

@@ -6,14 +6,17 @@ from types import MappingProxyType
 import pytest
 
 import necklie.cecomplex as cecomplex
+import necklie.mc as mc
 from necklie import (LambdaElement, PreconditionError, TruncationProfile,
                      UsageError, char_class, embed_element, embed_hamiltonian,
                      gauge_act, general_solution_sample, homotopy_check,
-                     mc_residual, two_dim_space)
+                     mc_residual, one_dim_space, two_dim_space)
+from necklie.bialgebra import IdentityResult
 from necklie.cecomplex import normalize_tensor, variant_complaint
 from necklie.chains import CEChainElement, chain_delta, chain_mul
-from necklie.mc import (MCCandidate, _chain_pool, as_candidate,
-                        candidate_parity, class_residual_identity, exp_chain,
+from necklie.mc import (HomotopyReport, MCCandidate, _chain_pool,
+                        as_candidate, candidate_parity,
+                        class_residual_identity, exp_chain, exp_gauge_rate,
                         gauge_rate)
 from necklie.words import Hamiltonian, canonical_words
 
@@ -319,3 +322,54 @@ def test_a_chain_miss_calls_no_traced_function(monkeypatch):
                       already_canonical=True)
     assert not gauge_rate(y, c).is_zero()
     assert seen == [y.terms]
+
+
+def _report(operator_checked):
+    return HomotopyReport(
+        IdentityResult("rate equals commutator with left multiplication",
+                       operator_checked),
+        IdentityResult("exponential of the rate matches the flowed class",
+                       1))
+
+
+def test_rate_series_and_check_take_dy_once(monkeypatch):
+    """exp_gauge_rate takes d y once, however long its series runs;
+    homotopy_check takes it three times (pool loop, rate series, flow),
+    and its reports on both shipped spaces are pinned."""
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return lambda_differential(x)
+    rates = []
+
+    def counting_rate(y, dy, c):
+        rates.append(c)
+        return rate(y, dy, c)
+    lambda_differential, rate = mc.lambda_differential, mc._rate
+    monkeypatch.setattr(mc, "lambda_differential", counting)
+    monkeypatch.setattr(mc, "_rate", counting_rate)
+
+    sp1, sp2 = one_dim_space(), two_dim_space()
+    prof1 = TruncationProfile(L=7, K=3, G=2, N=2, P=3)
+    y1 = LambdaElement(sp1, "lgv", prof1, {(0, 0, ((0, 0, 0),)): F(2),
+                                           (1, 0, ((0, 0, 0),)): F(-1, 3)})
+    x1 = LambdaElement(sp1, "lgv", prof1, {(0, 0, ((0, 0, 0),)): F(1)})
+    prof2 = TruncationProfile(L=5, K=3, G=1, N=1, P=3)
+    y2 = LambdaElement(sp2, "lgv", prof2, {(0, 0, ((X, X, XI),)): F(3, 2),
+                                           (0, 1, ((XI,),)): F(-1)})
+    x2 = LambdaElement(sp2, "lgv", prof2, {(0, 0, ((X, X),)): F(2)})
+    lengths = set()
+    for y, x in ((y1, x1), (y2, x2)):
+        for c in (exp_chain(x), embed_element(x)):
+            calls.clear()
+            rates.clear()
+            exp_gauge_rate(y, c)
+            assert len(calls) == 1
+            lengths.add(len(rates))
+    assert len(lengths) >= 2 and max(lengths) >= 3, lengths
+
+    for y, x, prof, checked in ((y1, x1, prof1, 16), (y2, x2, prof2, 40)):
+        calls.clear()
+        assert homotopy_check(y, x, prof) == _report(checked)
+        assert len(calls) == 3

@@ -99,3 +99,15 @@ def test_suite_on_zero_hamiltonian_skips_blocking():
     assert rep.passed
     names = [r.name for r in rep.results]
     assert not any("blocks" in n for n in names)
+
+
+def test_one_generator_entry_points_refuse_float_coefficients():
+    with pytest.raises(UsageError, match="0.1"):
+        make_family({1: 0.1})
+    with pytest.raises(UsageError, match="0.5"):
+        make_family({1: 1}, pairing=0.5)
+    prof = TruncationProfile(L=7, K=3, G=2, N=0, P=4)
+    with pytest.raises(UsageError, match="0.2"):
+        general_solution_sample({(1, (1,)): 0.2}, prof)
+    el = general_solution_sample({(1, (1,)): "1/5"}, prof)
+    assert el.terms == {(1, 0, ((0,) * 3,)): F(1, 5)}

@@ -109,3 +109,17 @@ def test_hamiltonian_add_and_scale(sp1):
     assert s.terms == {(0,): Fraction(-1)}
     with pytest.raises(UsageError):
         a + Hamiltonian(two_dim_space(), {})
+
+
+def test_hamiltonian_refuses_float_coefficients(sp2):
+    """A float is not the number it was typed as, so terms, scalar and
+    scale refuse one and name it; exact strings and Fractions pass."""
+    with pytest.raises(UsageError, match="0.1"):
+        Hamiltonian(sp2, {(0, 0): 0.1})
+    with pytest.raises(UsageError, match="0.5"):
+        Hamiltonian(sp2, {(0, 0): 1}, scalar=0.5)
+    h = Hamiltonian(sp2, {(0, 0): "1/10"}, scalar=Fraction(1, 2))
+    assert h.terms == {(0, 0): Fraction(1, 10)}
+    with pytest.raises(UsageError, match="0.25"):
+        h.scale(0.25)
+    assert h.scale("1/4").terms == {(0, 0): Fraction(1, 40)}
