@@ -15,18 +15,11 @@ come out empty are kept as explicit Empty markers here and turn into the
 deformation letter nu only inside the CE complex.
 
 ``bracket_raw`` and ``cobracket_raw`` are validating boundaries: they
-check their words, then read ``_bracket`` and ``_cobracket``, which
-memoize the whole result in the space's ``memo`` keyed by the words
-(``("bracket", A, B)`` and ``("cobracket", W)``), for the life of the
-space instance, and return read-only mappings
-(``types.MappingProxyType``) that every caller shares.  The bodies take
-valid words as they are; the tensor layer (``cecomplex``) validates its
-keys once and calls them directly to fill its own memo entries, the
-bracket of each pair of tensor keys and the differential of each key
-(keyed by the tensor keys, never by coefficients).  The bodies
-canonicalize through ``words._canonical`` and call none of the functions
-``bench/spans.py`` traces, so a hit skips no traced call that a miss
-would make.
+check their words, then read ``_bracket`` and ``_cobracket``, memoized
+through ``space.memoized`` (which states the memo rule) as read-only
+mappings that every caller shares.  The bodies take valid words as they
+are; the tensor layer (``cecomplex``) validates its keys once and calls
+them directly.
 """
 
 from __future__ import annotations
@@ -37,7 +30,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import UsageError
-from .space import SymplecticSpace
+from .space import SymplecticSpace, memoized
 from .words import (Hamiltonian, _canonical, accumulate, canonical_words,
                     checked_word, rotations)
 
@@ -51,12 +44,9 @@ def bracket_raw(space: SymplecticSpace, A, B):
     return _bracket(space, checked_word(space, A), checked_word(space, B))
 
 
+@memoized("bracket")
 def _bracket(space: SymplecticSpace, A, B):
     """Memoized body of bracket_raw for two words of valid indices."""
-    key = ("bracket", A, B)
-    found = space.memo.get(key)
-    if found is not None:
-        return found
     out: dict = {}
     scalar = Fraction(0)
     rots_a = rotations(space, A)
@@ -78,8 +68,7 @@ def _bracket(space: SymplecticSpace, A, B):
             if nm is None:
                 continue
             accumulate(out, nm[0], coeff * nm[1])
-    found = space.memo[key] = (MappingProxyType(out), scalar)
-    return found
+    return MappingProxyType(out), scalar
 
 
 def bracket_combo(space: SymplecticSpace, a: dict, b: dict):
@@ -102,12 +91,9 @@ def cobracket_raw(space: SymplecticSpace, W):
     return _cobracket(space, checked_word(space, W))
 
 
+@memoized("cobracket")
 def _cobracket(space: SymplecticSpace, W):
     """Memoized body of cobracket_raw for a word of valid indices."""
-    key = ("cobracket", W)
-    found = space.memo.get(key)
-    if found is not None:
-        return found
     out: dict = {}
     n = len(W)
     rots = rotations(space, W)
@@ -131,8 +117,7 @@ def _cobracket(space: SymplecticSpace, W):
             left = nl[0] if between else None
             right = nr[0] if after else None
             accumulate(out, (left, right), coeff * nl[1] * nr[1])
-    found = space.memo[key] = MappingProxyType(out)
-    return found
+    return MappingProxyType(out)
 
 
 def cobracket_combo(space: SymplecticSpace, a: dict):

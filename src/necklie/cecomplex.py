@@ -28,31 +28,29 @@ kills a repeated odd factor, the signed unshuffle, and the truncated
 combination class both element kinds derive from.
 
 The raw operations are bilinear sums over their input keys.
-``raw_bracket`` sums one memoized result per key pair, stored in the
-space's ``memo`` under ``("tensor_bracket", k1, k2)``; ``raw_differential``
-sums one memoized full differential per key, under
-``("differential", key)``, and drops the nu-terms on read when asked for
-the nu-free part.  Memo keys are tensor keys only, never coefficients;
-the results are read-only (``types.MappingProxyType``) and every public
-function returns a fresh dict.  Each public function validates every key
-of its input once (nonnegative integer exponents, valid words) before
-any lookup, so a hit rejects what a miss rejects.  The per-key bodies
+``raw_bracket`` sums one memoized result per key pair (``_key_bracket``)
+and ``raw_differential`` one memoized full differential per key
+(``_key_differential``), dropping the nu-terms on read when asked for the
+nu-free part; both are memoized through ``space.memoized``, which states
+the memo rule, and every public function returns a fresh dict.  Each
+public function validates every key of its input once (nonnegative
+integer exponents, valid words) before any lookup.  The per-key bodies
 (``_tensor``, ``_key_ce_delta``, ``_key_cobracket``) take valid keys and
 call only untraced internals (``bialgebra._bracket`` and ``_cobracket``,
-``words._canonical``), never a function ``bench/spans.py`` traces.
+``words._canonical``).
 
-Operation results enter ``TruncatedCombination`` with
-``already_canonical=True``: their keys are canonical and distinct, so the
-constructor checks the variant, cuts by the profile and drops zeros, but
-does not normalize or merge them again.  The closed operations skip even
-that, because the result's own profile and variant provably admit its
-keys: ``+`` and ``-`` of elements with equal profiles, ``scale``,
-``component_of_order``, ``chains``' ``capped``, and ``chains.chain_mul``
-when its right operand's L is at most its left's (the pair skip enforces
-P and K, and only longer words on the right could bring in a key the
-left's L refuses).  They build their results through
-``TruncatedCombination._admitted``, which checks nothing; every other
-result goes through ``replace_terms``.
+Raw input enters ``TruncatedCombination`` through its constructor, which
+normalizes and merges every key.  Operation results enter through
+``replace_terms``: their keys are canonical and distinct, so it checks
+the variant, cuts by the profile and drops zeros, but does not normalize
+or merge them again.  The closed operations skip even that, because the
+result's own profile and variant provably admit its keys: ``+`` and
+``-`` of elements with equal profiles, ``scale``, ``component_of_order``,
+``chains``' ``capped``, and ``chains.chain_mul`` when its right operand's
+L is at most its left's (the pair skip enforces P and K, and only longer
+words on the right could bring in a key the left's L refuses).  They
+build their results through ``TruncatedCombination._admitted``, which
+checks nothing.
 """
 
 from __future__ import annotations
@@ -63,8 +61,8 @@ from types import MappingProxyType
 
 from .bialgebra import _bracket, _cobracket
 from .errors import UsageError
-from .space import SymplecticSpace
-from .words import _canonical, accumulate, checked_word, exact_fraction
+from .space import SymplecticSpace, exact_fraction, memoized
+from .words import _canonical, accumulate, checked_word
 
 VARIANTS = ("lgv", "lg", "hq2")
 
@@ -216,24 +214,18 @@ def _key_cobracket(space: SymplecticSpace, key) -> dict:
     return out
 
 
+@memoized("differential")
 def _key_differential(space: SymplecticSpace, key):
     """Memoized d = gamma*delta + Delta of one valid key, read-only."""
-    memo_key = ("differential", key)
-    found = space.memo.get(memo_key)
-    if found is None:
-        out = {(g + 1, n, ws): c
-               for (g, n, ws), c in _key_ce_delta(space, key).items()}
-        _add_scaled(out, 1, _key_cobracket(space, key))
-        found = space.memo[memo_key] = MappingProxyType(out)
-    return found
+    out = {(g + 1, n, ws): c
+           for (g, n, ws), c in _key_ce_delta(space, key).items()}
+    _add_scaled(out, 1, _key_cobracket(space, key))
+    return MappingProxyType(out)
 
 
+@memoized("tensor_bracket")
 def _key_bracket(space: SymplecticSpace, k1, k2):
     """Memoized Leibniz bracket of two valid keys, read-only."""
-    memo_key = ("tensor_bracket", k1, k2)
-    found = space.memo.get(memo_key)
-    if found is not None:
-        return found
     (g1, n1, U), (g2, n2, V) = k1, k2
     out: dict = {}
     P = space.form_parity
@@ -259,8 +251,7 @@ def _key_bracket(space: SymplecticSpace, k1, k2):
                     if nm is None:
                         continue
                     accumulate(out, nm[0], cu if s == nm[1] else -cu)
-    found = space.memo[memo_key] = MappingProxyType(out)
-    return found
+    return MappingProxyType(out)
 
 
 def raw_ce_delta(space: SymplecticSpace, terms: dict) -> dict:
@@ -406,22 +397,23 @@ class TruncatedCombination:
     which keys raise (_complaint) and which keys its profile keeps
     (_keeps); terms outside the profile are dropped silently.
 
-    Raw input goes through __init__, operation results through
-    replace_terms.  The closed operations build their results with
-    _admitted and check no key again: + and - with an operand of the same
-    profile, whose keys each passed that profile; scale, which keeps the
-    keys (scale(0) keeps none); component_of_order and capped, which only
-    drop keys; and chain_mul when its right operand's L is at most its
-    left's.  The product needs that condition: its pair skip enforces the
-    left's P and K, and word lengths do not change, so only a right
-    operand with longer words brings in a key the left's L refuses.
+    Raw input goes through __init__, canonical keys through replace_terms;
+    canonical keys with no element in hand start from the empty element
+    of their space, variant and profile.  The closed operations build
+    their results with _admitted and check no key again: + and - with an
+    operand of the same profile, whose keys each passed that profile;
+    scale, which keeps the keys (scale(0) keeps none); component_of_order
+    and capped, which only drop keys; and chain_mul when its right
+    operand's L is at most its left's.  The product needs that condition:
+    its pair skip enforces the left's P and K, and word lengths do not
+    change, so only a right operand with longer words brings in a key the
+    left's L refuses.
     Coefficients are exact: a float raises UsageError."""
 
     __slots__ = ("space", "variant", "profile", "terms")
 
     def __init__(self, space: SymplecticSpace, variant: str,
-                 profile: TruncationProfile, terms: dict | None = None,
-                 already_canonical: bool = False):
+                 profile: TruncationProfile, terms: dict | None = None):
         if variant not in VARIANTS:
             raise UsageError(f"unknown variant {variant!r}; pick from {VARIANTS}")
         self.space = space
@@ -431,14 +423,6 @@ class TruncatedCombination:
         for key, coeff in (terms or {}).items():
             if type(coeff) is not Fraction:
                 coeff = exact_fraction(coeff)
-            if already_canonical:
-                # the keys of a dict are distinct: nothing to merge
-                if not coeff:
-                    continue
-                self._check(key)
-                if self._keeps(key):
-                    clean[key] = coeff
-                continue
             if coeff == 0:
                 continue
             nm = self._normalize(*key)
@@ -456,19 +440,31 @@ class TruncatedCombination:
             raise UsageError(f"term {key} rejected: {complaint}")
 
     def replace_terms(self, terms: dict):
-        return type(self)(self.space, self.variant, self.profile, terms,
-                          already_canonical=True)
+        """An element like self holding terms with canonical keys, which
+        are distinct as the keys of a dict, so nothing is merged: each key
+        is checked against the variant and cut by the profile, and zero
+        coefficients drop."""
+        clean: dict = {}
+        for key, coeff in terms.items():
+            if type(coeff) is not Fraction:
+                coeff = exact_fraction(coeff)
+            if not coeff:
+                continue
+            self._check(key)
+            if self._keeps(key):
+                clean[key] = coeff
+        return self._admitted(clean)
 
     def with_profile(self, profile: TruncationProfile):
         """The same terms under another profile, cut by its caps."""
-        return type(self)(self.space, self.variant, profile, self.terms,
-                          already_canonical=True)
+        return type(self)(self.space, self.variant, profile).replace_terms(
+            self.terms)
 
     def _admitted(self, terms: dict):
         """An element of self's type, space, variant and profile holding
         terms whose keys these already admit, with nonzero Fraction
-        coefficients: the one constructor of the closed operations, which
-        checks nothing again."""
+        coefficients: the constructor of replace_terms and of the closed
+        operations, which checks nothing again."""
         out = object.__new__(type(self))
         out.space, out.variant, out.profile = (
             self.space, self.variant, self.profile)
@@ -597,8 +593,7 @@ def project(x: LambdaElement, target: str) -> LambdaElement:
     if target == "hq2":
         terms = {k: c for k, c in terms.items()
                  if k[0] == 0 and len(k[2]) == 1 and len(k[2][0]) >= 2}
-    return LambdaElement(x.space, target, x.profile, terms,
-                         already_canonical=True)
+    return LambdaElement(x.space, target, x.profile).replace_terms(terms)
 
 
 def coproduct(x) -> dict:

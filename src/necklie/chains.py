@@ -26,16 +26,15 @@ word length <= L of the profile.  Order and block count add under the
 product and word lengths do not change, so ``chain_mul`` never forms a
 pair that exceeds the left operand's P or K.
 
-Both operations are sums of one memoized result per chain key, stored in
-the space's ``memo``.  ``chain_mul`` reads the product of each key pair
-that passes the caps under ``("chain_product", k1, k2)``: the sorted key
-with its sign, the nu-crossing sign folded in, or None when it vanishes.
-``chain_delta`` sums the full outer differential of each key, stored
-under ``("chain_delta", with_nu, key)`` as a read-only mapping.  Entries
-are uncut and carry no coefficient; the caller's ``replace_terms``
-applies its own profile.  A miss goes through the tensor layer's
-untraced bodies (``cecomplex._key_differential`` and ``_key_bracket``)
-and ``sort_blocks`` only, never a function ``bench/spans.py`` traces.
+Both operations are sums of one memoized result per chain key, memoized
+through ``space.memoized`` (which states the memo rule).  ``chain_mul``
+reads the product of each key pair that passes the caps from
+``_key_product``: the sorted key with its sign, the nu-crossing sign
+folded in, or None when it vanishes.  ``chain_delta`` sums the full outer
+differential of each key from ``_key_delta``.  Results are uncut; the
+caller's ``replace_terms`` applies its own profile.  A miss goes through
+the tensor layer's untraced bodies (``cecomplex._key_differential`` and
+``_key_bracket``) and ``sort_blocks`` only.
 """
 
 from __future__ import annotations
@@ -48,10 +47,8 @@ from .cecomplex import (LambdaElement, TruncatedCombination,
                         _key_differential, koszul_sort, normalize_tensor,
                         tensor_parity, unshuffle)
 from .errors import UsageError
-from .space import SymplecticSpace
+from .space import SymplecticSpace, memoized
 from .words import accumulate
-
-_MISSING = object()
 
 
 def block_parity(space: SymplecticSpace, block) -> int:
@@ -130,8 +127,8 @@ class CEChainElement(TruncatedCombination):
 
 
 def chain_unit(space, variant, profile) -> CEChainElement:
-    return CEChainElement(space, variant, profile, {(0, 0, ()): Fraction(1)},
-                          already_canonical=True)
+    return CEChainElement(space, variant, profile).replace_terms(
+        {(0, 0, ()): Fraction(1)})
 
 
 def embed_element(x: LambdaElement,
@@ -143,23 +140,20 @@ def embed_element(x: LambdaElement,
         nm = sort_blocks(x.space, g, n, (ws,))
         if nm is not None:
             accumulate(out, nm[0], c * nm[1])
-    return CEChainElement(x.space, x.variant, profile or x.profile, out,
-                          already_canonical=True)
+    return CEChainElement(x.space, x.variant,
+                          profile or x.profile).replace_terms(out)
 
 
+@memoized("chain_product")
 def _key_product(space: SymplecticSpace, k1, k2):
     """Memoized product of two chain keys: the sorted key with its sign,
     the nu-crossing sign folded in, or None when it vanishes."""
-    memo_key = ("chain_product", k1, k2)
-    found = space.memo.get(memo_key, _MISSING)
-    if found is _MISSING:
-        (G1, N1, bl1), (G2, N2, bl2) = k1, k2
-        found = sort_blocks(space, G1 + G2, N1 + N2, bl1 + bl2)
-        # the nu-prefix of the right key crosses every block of the left
-        left_par = sum(block_parity(space, b) for b in bl1)
-        if found is not None and N2 * space.nu_parity * left_par & 1:
-            found = found[0], -found[1]
-        space.memo[memo_key] = found
+    (G1, N1, bl1), (G2, N2, bl2) = k1, k2
+    found = sort_blocks(space, G1 + G2, N1 + N2, bl1 + bl2)
+    # the nu-prefix of the right key crosses every block of the left
+    left_par = sum(block_parity(space, b) for b in bl1)
+    if found is not None and N2 * space.nu_parity * left_par & 1:
+        return found[0], -found[1]
     return found
 
 
@@ -188,13 +182,10 @@ def chain_mul(a: CEChainElement, b: CEChainElement) -> CEChainElement:
     return a.replace_terms(out)
 
 
-def _key_delta(space: SymplecticSpace, key, with_nu: bool):
+@memoized("chain_delta")
+def _key_delta(space: SymplecticSpace, with_nu: bool, key):
     """Memoized outer differential of one chain key, read-only: d on each
     block plus the contraction of each pair of blocks."""
-    memo_key = ("chain_delta", with_nu, key)
-    found = space.memo.get(memo_key)
-    if found is not None:
-        return found
     G, N, blocks = key
     nu_par = space.nu_parity
     out: dict = {}
@@ -223,8 +214,7 @@ def _key_delta(space: SymplecticSpace, key, with_nu: bool):
             bracket_into_block(out, space, G, N, -1 if flip else 1,
                                (0, 0, blocks[i]), (0, 0, blocks[j]),
                                bpars[i] + bpars[j], rest, with_nu)
-    found = space.memo[memo_key] = MappingProxyType(out)
-    return found
+    return MappingProxyType(out)
 
 
 def chain_delta(x: CEChainElement) -> CEChainElement:
@@ -234,7 +224,7 @@ def chain_delta(x: CEChainElement) -> CEChainElement:
     with_nu = x.variant == "lgv"
     out: dict = {}
     for key, c in x.terms.items():
-        _add_scaled(out, c, _key_delta(x.space, key, with_nu))
+        _add_scaled(out, c, _key_delta(x.space, with_nu, key))
     return x.replace_terms(out)
 
 

@@ -9,15 +9,13 @@ exponent is at least 2; nothing else is normalized.  The filtration order
 2g + n + k - 1 is known before any word is drawn, so an order cut picks
 the factor count instead of filtering the whole profile.
 
-Each slice is enumerated once per space: ``enumerate_basis`` keeps it in
-the space's ``memo`` under ``("basis", spec)``, keyed by the frozen
-``WordSliceSpec`` or ``TensorSliceSpec`` alone, which never holds a
-coefficient.  Specs validate their fields when built (integer bounds and
-order, parity in {None, 0, 1}, a known variant), so a hit rejects what a
-miss rejects.  A miss enumerates through ``words._canonical_words`` and
-``words._canonical``, none of the functions ``bench/spans.py`` traces.
-Slices are shared, so they are read-only: ``elements`` is a tuple and
-``index`` a ``MappingProxyType``.
+Each slice is enumerated once per space and spec: ``enumerate_basis``
+checks that it was given a spec and reads ``_enumerate``, memoized
+through ``space.memoized`` (which states the memo rule) and keyed by the
+frozen ``WordSliceSpec`` or ``TensorSliceSpec``.  Specs validate their
+fields when built (integer bounds and order, parity in {None, 0, 1}, a
+known variant).  Slices are shared, so they are read-only: ``elements``
+is a tuple and ``index`` a ``MappingProxyType``.
 
 Elimination is sparse Gaussian elimination over Fraction.  The pivot is
 the entry with the least Markowitz (1957) key ((row nnz - 1) * (col nnz -
@@ -42,7 +40,7 @@ from types import MappingProxyType
 from .cecomplex import (VARIANTS, TruncationProfile, tensor_parity,
                         variant_complaint)
 from .errors import IntegrityError, SliceRangeError, UsageError
-from .space import SymplecticSpace
+from .space import SymplecticSpace, memoized
 from .words import _canonical_words
 
 
@@ -136,22 +134,16 @@ def _factor_counts(prof: TruncationProfile, g: int, n: int, order):
 
 def enumerate_basis(space: SymplecticSpace, constraints) -> BasisSlice:
     """Complete deterministic enumeration of a constrained slice, made
-    once per space and spec.
-
-    The slice is stored in ``space.memo`` under ``("basis", constraints)``
-    and every later call with an equal spec returns the same read-only
-    slice.  A spec is validated when it is built and holds no
-    coefficient; anything but a spec raises before the lookup.
+    once per space and spec: every later call with an equal spec returns
+    the same read-only slice.  A spec is validated when it is built;
+    anything but a spec raises before the lookup.
     """
     if not isinstance(constraints, (WordSliceSpec, TensorSliceSpec)):
         raise UsageError(f"unsupported constraint object: {constraints!r}")
-    key = ("basis", constraints)
-    found = space.memo.get(key)
-    if found is None:
-        found = space.memo[key] = _enumerate(space, constraints)
-    return found
+    return _enumerate(space, constraints)
 
 
+@memoized("basis")
 def _enumerate(space: SymplecticSpace, constraints) -> BasisSlice:
     """The slice of a valid spec, through untraced internals only.
 
@@ -250,7 +242,7 @@ def matrix_of_operator(op, domain: BasisSlice,
                 raise SliceRangeError(
                     f"op({elem!r}) has component {key!r} outside the codomain "
                     f"slice")
-            entries[(pos, j)] = Fraction(coeff)
+            entries[(pos, j)] = coeff
     return SparseRationalMatrix(len(codomain), len(domain), entries)
 
 

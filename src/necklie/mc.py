@@ -25,12 +25,10 @@ of y into one block is ``chains.bracket_into_block``, the contraction of
 the outer differential.
 
 The bracket part of the rate is a sum of one memoized result per pair of
-a tensor key of y and a chain key, stored in the space's ``memo`` under
-``("chain_rate", with_nu, ykey, ckey)`` as a read-only mapping of uncut
-terms; ``embed(dy) . c`` goes through ``chain_mul`` and its own entries.
-The chain-key pool of ``homotopy_check`` is stored as a tuple under
-``("chain_pool", variant, profile, limit)``.  No entry carries a
-coefficient, and a miss calls no function ``bench/spans.py`` traces.
+a tensor key of y and a chain key (``_key_rate``); ``embed(dy) . c`` goes
+through ``chain_mul`` and its own results.  The chain-key pool of
+``homotopy_check`` (``_chain_pool``) is memoized too, both through
+``space.memoized``, which states the memo rule.
 
 embed(dy) depends on y and on the chain profile only, so it is taken once
 per caller and handed to the rate body ``_rate``: once per call of
@@ -53,7 +51,7 @@ from .chains import (CEChainElement, block_parity, bracket_into_block,
                      chain_delta, chain_mul, chain_order, chain_unit,
                      embed_element, sort_blocks)
 from .errors import PreconditionError, UsageError
-from .space import SymplecticSpace
+from .space import SymplecticSpace, memoized
 from .words import _canonical_words
 
 GAUGE_PARITY = 1          # flow directions are odd for both pairing parities
@@ -159,23 +157,20 @@ def char_class(x) -> CEChainElement:
     return exp_chain(cand.value)
 
 
-def _key_rate(space: SymplecticSpace, ykey, ckey, with_nu: bool):
+@memoized("chain_rate")
+def _key_rate(space: SymplecticSpace, with_nu: bool, ykey, ckey):
     """Memoized bracket of the tensor key ykey into each block of the chain
     key ckey, signed and summed, read-only."""
-    memo_key = ("chain_rate", with_nu, ykey, ckey)
-    found = space.memo.get(memo_key)
-    if found is None:
-        G, N, blocks = ckey
-        out: dict = {}
-        bpars = [block_parity(space, b) for b in blocks]
-        for i, block in enumerate(blocks):
-            pre = sum(bpars[:i]) & 1
-            rest = tuple(b for l, b in enumerate(blocks) if l != i)
-            sign = 1 if bpars[i] * pre & 1 else -1
-            bracket_into_block(out, space, G, N, sign, ykey, (0, 0, block),
-                               bpars[i], rest, with_nu)
-        found = space.memo[memo_key] = MappingProxyType(out)
-    return found
+    G, N, blocks = ckey
+    out: dict = {}
+    bpars = [block_parity(space, b) for b in blocks]
+    for i, block in enumerate(blocks):
+        pre = sum(bpars[:i]) & 1
+        rest = tuple(b for l, b in enumerate(blocks) if l != i)
+        sign = 1 if bpars[i] * pre & 1 else -1
+        bracket_into_block(out, space, G, N, sign, ykey, (0, 0, block),
+                           bpars[i], rest, with_nu)
+    return MappingProxyType(out)
 
 
 def _rate(y: LambdaElement, dy: CEChainElement,
@@ -186,7 +181,7 @@ def _rate(y: LambdaElement, dy: CEChainElement,
     out = dict(chain_mul(dy, c).terms)
     for ckey, cc in c.terms.items():
         for ykey, cy in y.terms.items():
-            _add_scaled(out, cc * cy, _key_rate(space, ykey, ckey, with_nu))
+            _add_scaled(out, cc * cy, _key_rate(space, with_nu, ykey, ckey))
     return c.replace_terms(out)
 
 
@@ -223,14 +218,11 @@ class HomotopyReport:
                 for r in (self.operator_identity, self.flow_identity)]
 
 
+@memoized("chain_pool")
 def _chain_pool(space, variant, profile, limit):
     """Deterministic small family of chain keys inside the profile, as a
     tuple memoized per (variant, profile, limit); its blocks are canonical
     tensors, so keys need only the outer sort."""
-    memo_key = ("chain_pool", variant, profile, limit)
-    found = space.memo.get(memo_key)
-    if found is not None:
-        return found
     words = _canonical_words(space, min(profile.L, 4))
     blocks = []
     for w in words:
@@ -252,9 +244,7 @@ def _chain_pool(space, variant, profile, limit):
                     nm = sort_blocks(space, g, n, combo)
                     if nm is not None and chain_order(nm[0]) <= profile.P:
                         pool.add(nm[0])
-    found = space.memo[memo_key] = tuple(
-        sorted(pool, key=lambda k: (chain_order(k), k))[:limit])
-    return found
+    return tuple(sorted(pool, key=lambda k: (chain_order(k), k))[:limit])
 
 
 def homotopy_check(y: LambdaElement, x, profile: TruncationProfile,
@@ -281,9 +271,9 @@ def homotopy_check(y: LambdaElement, x, profile: TruncationProfile,
     # every chain of the loop has the wide profile: embed y and dy once
     dy_wide = embed_element(lambda_differential(y_wide), wide)
     left = embed_element(y_wide, wide)
+    empty = CEChainElement(space, variant, wide)
     for key in _chain_pool(space, variant, profile, pool_limit):
-        e = CEChainElement(space, variant, wide, {key: Fraction(1)},
-                           already_canonical=True)
+        e = empty.replace_terms({key: Fraction(1)})
         lhs = _rate(y_wide, dy_wide, e)
         rhs = chain_delta(chain_mul(left, e)) + chain_mul(left, chain_delta(e))
         op.record(lhs == rhs, lambda k=key: f"chain {k}")

@@ -318,9 +318,8 @@ def obstruction_class(state: MCState) -> ObstructionReport:
 
     witness = None
     if solved.solvable:
-        witness = LambdaElement(state.space, state.variant, state.profile,
-                                cand.combination(solved.particular),
-                                already_canonical=True)
+        witness = state.components[0].replace_terms(
+            cand.combination(solved.particular))
     return ObstructionReport(
         level=level, cocycle=o, is_cocycle=True,
         class_vanishes=solved.solvable, witness=witness,
@@ -358,8 +357,8 @@ def extension_space(state: MCState, _report=None) -> ExtensionSpace:
     op = _adjoint_op(state.space, state.components[0].terms, state.variant)
     d_in = matrix_of_operator(op, obst, cand)
     hom = homology_dims(d_in, d_out)
-    basis = [LambdaElement(state.space, state.variant, state.profile,
-                           cand.combination(v), already_canonical=True)
+    base = state.components[0]
+    basis = [base.replace_terms(cand.combination(v))
              for v in hom.representatives]
     return ExtensionSpace(level=report.level, particular=report.witness,
                           parameter_basis=basis)

@@ -15,15 +15,13 @@ from fractions import Fraction
 
 from .bialgebra import IdentityResult, bracket, bracket_raw
 from .cecomplex import (LambdaElement, TruncationProfile, definition_order,
-                        filtration_order, normalize_tensor,
-                        raw_extend_cobracket)
+                        filtration_order, raw_extend_cobracket)
 from .errors import IntegrityError, UsageError
 from .linalg import WordSliceSpec
 from .mc import MCCandidate, mc_residual
 from .obstruction import hochschild_cohomology, lift
-from .space import SymplecticSpace, one_dim_space
-from .words import (Hamiltonian, accumulate, canonical_words, exact_fraction,
-                    normalize_word)
+from .space import SymplecticSpace, exact_fraction, one_dim_space
+from .words import Hamiltonian, canonical_words, normalize_word
 
 
 def make_family(coeffs: dict | None = None,
@@ -81,11 +79,9 @@ def general_solution_sample(assignment: dict,
                 or filtration_order(key) > profile.P):
             raise UsageError(
                 f"assignment {(i, tuple(rs))} falls outside the profile")
-        nm = normalize_tensor(space, *key)
-        if nm is None:
-            continue  # repeated odd power: the wedge is zero
-        accumulate(terms, nm[0], c * nm[1])
-    out = LambdaElement(space, "lg", profile, terms, already_canonical=True)
+        terms[key] = c
+    # a repeated odd power makes its wedge zero; the constructor drops it
+    out = LambdaElement(space, "lg", profile, terms)
     res = mc_residual(MCCandidate(out))
     if not res.is_zero():
         raise IntegrityError("a one-generator nu-free element failed the "

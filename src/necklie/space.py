@@ -17,8 +17,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 
 from .errors import UsageError
+
+
+def exact_fraction(value) -> Fraction:
+    """A user coefficient as a Fraction, or UsageError naming a float: a
+    binary float is not the number it was typed as (Fraction(0.1) is
+    3602879701896397/36028797018963968), so it never enters exact data."""
+    if isinstance(value, float):
+        raise UsageError(f"coefficient {value!r} is a float; give an int, "
+                         f"a Fraction or a string such as '1/10'")
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def parse_rational(text) -> Fraction:
@@ -64,30 +75,31 @@ def _invert(matrix):
 class SymplecticSpace:
     """Ordered generators with parities and an invertible graded pairing.
 
-    ``memo`` is the memo of the word, tensor and basis layers of this
-    instance.  The word layer (``words``, ``bialgebra``) stores the canonical
-    rotation and sign of each letter sequence, the rotation list of each
-    word, and the whole result of each word bracket and word cobracket,
-    keyed by word tuples.  The tensor layer (``cecomplex``) stores the
-    Leibniz bracket of each pair of tensor keys and the full differential
-    gamma*delta + Delta of each tensor key, keyed by the keys
-    (g, n, words).  The basis layer (``linalg``) stores each enumerated
-    ``BasisSlice`` under ``("basis", spec)``, keyed by the frozen
-    ``WordSliceSpec`` or ``TensorSliceSpec``, one entry per distinct
-    spec.  The chain layer (``chains``, ``mc``) stores the product of each
-    pair of chain keys under ``("chain_product", k1, k2)``, the outer
-    differential of each chain key under ``("chain_delta", with_nu,
-    key)``, the bracket of each tensor key of a gauge parameter into the
-    blocks of each chain key under ``("chain_rate", with_nu, ykey,
-    ckey)``, and the chain-key pool of the homotopy check under
-    ``("chain_pool", variant, profile, limit)``.  Keys never hold
-    coefficients, so the memo grows with the distinct words, keys, key
-    pairs and specs used, not with the number of calls.  It starts empty, is never shared, and lives and dies with the
-    instance; it takes no part in equality or hashing.  Memoized results
-    are read-only, and inputs are validated before every lookup.  A miss
-    computes through untraced internals only, none of the functions
-    ``bench/spans.py`` traces, so a warm space makes the same traced
-    calls as a cold one.
+    Form entries are stored as ``Fraction``; a float raises UsageError.
+
+    ``memo`` holds the memoized results of the word, tensor, basis and
+    chain layers of this instance, filled through ``memoized`` (which
+    states the rule) under these keys:
+
+    ==================  ===============================  ==================
+    tag                 function                         arguments
+    ==================  ===============================  ==================
+    ``rotations``       ``words.rotations``              letters
+    ``canonical``       ``words._canonical``             letters
+    ``bracket``         ``bialgebra._bracket``           A, B
+    ``cobracket``       ``bialgebra._cobracket``         W
+    ``differential``    ``cecomplex._key_differential``  key
+    ``tensor_bracket``  ``cecomplex._key_bracket``       k1, k2
+    ``basis``           ``linalg._enumerate``            slice spec
+    ``chain_product``   ``chains._key_product``          k1, k2
+    ``chain_delta``     ``chains._key_delta``            with_nu, key
+    ``chain_rate``      ``mc._key_rate``                 with_nu, ykey, ckey
+    ``chain_pool``      ``mc._chain_pool``               variant, profile,
+                                                         limit
+    ==================  ===============================  ==================
+
+    The memo starts empty, is never shared, and lives and dies with the
+    instance; it takes no part in equality or hashing.
     """
 
     names: tuple[str, ...]
@@ -111,6 +123,8 @@ class SymplecticSpace:
             raise UsageError("form parity must be 0 or 1")
         if len(self.form) != n or any(len(row) != n for row in self.form):
             raise UsageError("pairing matrix must be square of generator size")
+        object.__setattr__(self, "form", tuple(
+            tuple(exact_fraction(v) for v in row) for row in self.form))
         for i in range(n):
             for j in range(n):
                 bij = self.form[i][j]
@@ -179,6 +193,41 @@ class SymplecticSpace:
     def load(cls, path) -> "SymplecticSpace":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
+
+
+_MISS = object()
+
+
+def memoized(tag: str):
+    """Decorator memoizing ``body(space, *args)`` in ``space.memo``.
+
+    This is the memo rule of every layer.  The key is ``(tag,) + args``,
+    the positional arguments after the space, so callers pass them
+    positionally and never a coefficient: the memo grows with the
+    distinct words, keys, key pairs and specs used, not with the number
+    of calls.  On a miss the body runs and its result is stored; on a hit
+    the stored result is returned, a stored None included.  Results are
+    shared, so a body returns a read-only value (a tuple, a
+    ``MappingProxyType``, a frozen object or None).  The arguments must be
+    valid: the public boundary checks its input before the lookup,
+    because ``(0.0,)`` hashes like ``(0,)`` and a hit must not accept what
+    a miss would reject.  A body calls none of the functions
+    ``bench/spans.py`` traces, so a warm space makes the same traced
+    calls as a cold one.  The tags in use are listed in the
+    ``SymplecticSpace`` docstring.
+    """
+    prefix = (tag,)
+
+    def decorate(body):
+        @wraps(body)
+        def lookup(space, *args):
+            key = prefix + args
+            found = space.memo.get(key, _MISS)
+            if found is _MISS:
+                found = space.memo[key] = body(space, *args)
+            return found
+        return lookup
+    return decorate
 
 
 def one_dim_space() -> SymplecticSpace:

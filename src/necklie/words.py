@@ -8,16 +8,11 @@ the earliest rotation offset.  A word some rotation of which reproduces
 the same letter sequence with accumulated sign -1 is zero and cannot be
 stored; for a single odd generator this kills exactly the even lengths.
 
-Canonical rotations and rotation lists are memoized, as immutable tuples,
-in the space's ``memo`` (see ``SymplecticSpace``), keyed by the letter
-tuple, so each is computed once for the life of the space instance.
-``_canonical`` owns the rotation rule and ``normalize_word`` is its
-validating public boundary; ``_canonical_words`` enumerates through it,
-and ``canonical_words`` is its public name.  A memoized function calls
-none of the functions ``bench/spans.py`` traces, so a traced caller makes
-the same traced calls on a cold space as on a warm one.  Validation always runs
-before a lookup: ``(0.0,)`` hashes like ``(0,)``, and a hit must not
-accept what a miss would reject.
+``rotations`` and ``_canonical`` are memoized through
+``space.memoized``, which states the memo rule.  ``_canonical`` owns the
+rotation rule and ``normalize_word`` is its validating public boundary;
+``_canonical_words`` enumerates through it, and ``canonical_words`` is its
+public name.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import UsageError
-from .space import SymplecticSpace
+from .space import SymplecticSpace, exact_fraction, memoized
 
 Word = tuple  # tuple of generator indices
 
@@ -45,37 +40,30 @@ def checked_word(space: SymplecticSpace, letters) -> Word:
     return letters
 
 
+@memoized("rotations")
 def rotations(space: SymplecticSpace, letters: Word):
     """Every left rotation of a word of valid indices, as a memoized tuple
     of (rotated word, accumulated Koszul sign) in order of offset."""
-    key = ("rotations", letters)
-    found = space.memo.get(key)
-    if found is None:
-        pars = space.parities
-        total = space.word_parity(letters)
-        out = []
-        cur, sign = letters, 1
-        for head in letters:
-            out.append((cur, sign))
-            # the head moves past the rest of the word
-            sign *= (-1) ** (pars[head] * ((total - pars[head]) & 1))
-            cur = cur[1:] + (head,)
-        found = space.memo[key] = tuple(out)
-    return found
+    pars = space.parities
+    total = space.word_parity(letters)
+    out = []
+    cur, sign = letters, 1
+    for head in letters:
+        out.append((cur, sign))
+        # the head moves past the rest of the word
+        sign *= (-1) ** (pars[head] * ((total - pars[head]) & 1))
+        cur = cur[1:] + (head,)
+    return tuple(out)
 
 
+@memoized("canonical")
 def _canonical(space: SymplecticSpace, letters: Word):
     """Memoized canonical rotation of a nonempty tuple of valid indices
     with its sign, or None for the zero word."""
-    key = ("canonical", letters)
-    found = space.memo.get(key, key)   # None is a stored result
-    if found is key:
-        rots = rotations(space, letters)
-        best = min(w for w, _ in rots)
-        signs = {s for w, s in rots if w == best}
-        found = (best, signs.pop()) if len(signs) == 1 else None
-        space.memo[key] = found
-    return found
+    rots = rotations(space, letters)
+    best = min(w for w, _ in rots)
+    signs = {s for w, s in rots if w == best}
+    return (best, signs.pop()) if len(signs) == 1 else None
 
 
 def normalize_word(space: SymplecticSpace, letters):
@@ -84,16 +72,6 @@ def normalize_word(space: SymplecticSpace, letters):
 
 
 _ZERO = Fraction(0)
-
-
-def exact_fraction(value) -> Fraction:
-    """A user coefficient as a Fraction, or UsageError naming a float: a
-    binary float is not the number it was typed as (Fraction(0.1) is
-    3602879701896397/36028797018963968), so it never enters exact data."""
-    if isinstance(value, float):
-        raise UsageError(f"coefficient {value!r} is a float; give an int, "
-                         f"a Fraction or a string such as '1/10'")
-    return value if type(value) is Fraction else Fraction(value)
 
 
 def accumulate(terms: dict, key, coeff: Fraction) -> None:

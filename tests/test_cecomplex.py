@@ -468,19 +468,17 @@ def test_warm_tensor_memo_keeps_its_boundary():
 
 
 def test_canonical_construction_path(sp1):
-    """already_canonical=True takes the keys as they are, and still drops
-    zeros and out-of-profile keys, stores Fractions and raises on keys
-    outside the variant."""
+    """replace_terms takes the keys as they are, and still drops zeros and
+    out-of-profile keys, stores Fractions and raises on keys outside the
+    variant."""
     prof = TruncationProfile(L=3, K=2, G=1, N=1)
     inside, longer = (0, 1, ((0,),)), (0, 1, ((0,) * 5,))
-    x = LambdaElement(sp1, "lgv", prof,
-                      {inside: 2, (1, 0, ((0, 0, 0),)): F(0), longer: F(1)},
-                      already_canonical=True)
+    x = LambdaElement(sp1, "lgv", prof).replace_terms(
+        {inside: 2, (1, 0, ((0, 0, 0),)): F(0), longer: F(1)})
     assert x.terms == {inside: F(2)}
     assert type(x.terms[inside]) is F
     with pytest.raises(UsageError):
-        LambdaElement(sp1, "lg", prof, {inside: F(1)},
-                      already_canonical=True)
+        LambdaElement(sp1, "lg", prof).replace_terms({inside: F(1)})
     assert x.replace_terms({inside: F(0)}).is_zero()
 
 
@@ -489,16 +487,20 @@ def test_elements_refuse_float_coefficients(sp1, sp2):
     and name it, for complex and chain elements alike."""
     prof = TruncationProfile(L=3, K=2, G=1, N=1)
     key = (0, 0, ((0, 0),))
-    for canonical in (False, True):
+
+    def raw(cls, terms):
+        return cls(sp2, "lgv", prof, terms)
+
+    def canonical(cls, terms):
+        return cls(sp2, "lgv", prof).replace_terms(terms)
+
+    for build in (raw, canonical):
         with pytest.raises(UsageError, match="0.1"):
-            LambdaElement(sp2, "lgv", prof, {key: 0.1},
-                          already_canonical=canonical)
+            build(LambdaElement, {key: 0.1})
         with pytest.raises(UsageError, match="0.0"):
-            LambdaElement(sp2, "lgv", prof, {key: 0.0},
-                          already_canonical=canonical)
+            build(LambdaElement, {key: 0.0})
         with pytest.raises(UsageError, match="0.5"):
-            CEChainElement(sp2, "lgv", prof, {(0, 0, ((0, 0),)): 0.5},
-                           already_canonical=canonical)
+            build(CEChainElement, {(0, 0, ((0, 0),)): 0.5})
     x = LambdaElement(sp2, "lgv", prof, {key: "1/10"})
     assert x.terms == {key: F(1, 10)}
     with pytest.raises(UsageError, match="0.1"):

@@ -42,9 +42,8 @@ def chain_pool(space, max_word_len, max_blocks):
 
 
 def wide_chain(space, keys, variant="lgv"):
-    return CEChainElement(space, variant, unbounded_profile(),
-                          {k: F(i + 1) for i, k in enumerate(keys)},
-                          already_canonical=True)
+    return CEChainElement(space, variant, unbounded_profile()).replace_terms(
+        {k: F(i + 1) for i, k in enumerate(keys)})
 
 
 def test_chain_normalize_sorts_blocks_and_kills_repeats(sp1):
@@ -147,8 +146,8 @@ def test_embed_intertwines_differentials(sp1, sp2):
                                 len(w) for w in combo) >= 2:
                             keys.add(nm[0])
         for key in sorted(keys, key=str)[:40]:
-            x = LambdaElement(space, "lgv", unbounded_profile(),
-                              {key: F(1)}, already_canonical=True)
+            x = LambdaElement(space, "lgv", unbounded_profile()).replace_terms(
+                {key: F(1)})
             assert embed_element(lambda_differential(x)) == \
                 chain_delta(embed_element(x)), key
 
@@ -290,16 +289,14 @@ def test_chain_operations_cold_and_warm_match_the_oracles(make, max_len):
     for variant in VARIANTS:
         for _ in range(6):
             prof = rng.choice(profiles)
-            a = CEChainElement(space, variant, prof, _random_chain_terms(
-                rng, space, words, variant, 4), already_canonical=True)
-            b = CEChainElement(space, variant, rng.choice(profiles),
-                               _random_chain_terms(rng, space, words,
-                                                   variant, 4),
-                               already_canonical=True)
-            y = LambdaElement(space, variant, unbounded_profile(),
-                              _random_parameter_terms(rng, space, words,
-                                                      variant),
-                              already_canonical=True)
+            a = CEChainElement(space, variant, prof).replace_terms(
+                _random_chain_terms(rng, space, words, variant, 4))
+            b = CEChainElement(space, variant,
+                               rng.choice(profiles)).replace_terms(
+                _random_chain_terms(rng, space, words, variant, 4))
+            y = LambdaElement(space, variant,
+                              unbounded_profile()).replace_terms(
+                _random_parameter_terms(rng, space, words, variant))
             caps = (prof.P, prof.K, prof.L)
             want = (
                 oracle_chain_mul(pars, space.nu_parity, a.terms, b.terms,
@@ -370,11 +367,11 @@ def test_closed_arithmetic_equals_the_checked_path(make, max_len):
     for variant in ("lgv", "lg"):
         for _ in range(12):
             prof, other_prof = rng.choice(profiles), rng.choice(profiles)
-            chains = [CEChainElement(space, variant, p, _random_chain_terms(
-                rng, space, words, variant, 6), already_canonical=True)
+            chains = [CEChainElement(space, variant, p).replace_terms(
+                _random_chain_terms(rng, space, words, variant, 6))
                 for p in (prof, prof, other_prof)]
-            tensors = [LambdaElement(space, variant, p, _random_tensor_terms(
-                rng, space, words, variant, 6), already_canonical=True)
+            tensors = [LambdaElement(space, variant, p).replace_terms(
+                _random_tensor_terms(rng, space, words, variant, 6))
                 for p in (prof, prof, other_prof)]
             for a, b, other in (chains, tensors):
                 for right in (b, other):
@@ -391,10 +388,9 @@ def test_closed_arithmetic_equals_the_checked_path(make, max_len):
                     _same_element(a.scale(c), a.replace_terms(
                         {k: v * c for k, v in a.terms.items()}))
             a, b, other = chains
-            wide = CEChainElement(space, variant, unbounded_profile(),
-                                  _random_chain_terms(rng, space, words,
-                                                      variant, 6),
-                                  already_canonical=True)
+            wide = CEChainElement(space, variant,
+                                  unbounded_profile()).replace_terms(
+                _random_chain_terms(rng, space, words, variant, 6))
             for max_order, max_blocks in ((rng.randint(0, 4),
                                            rng.randint(0, 3)), (0, 0)):
                 _same_element(a.capped(max_order, max_blocks),

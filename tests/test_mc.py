@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -8,8 +9,9 @@ import pytest
 import necklie.cecomplex as cecomplex
 import necklie.mc as mc
 from necklie import (LambdaElement, PreconditionError, TruncationProfile,
-                     UsageError, char_class, embed_element, embed_hamiltonian,
-                     gauge_act, general_solution_sample, homotopy_check,
+                     UsageError, WordSliceSpec, char_class, embed_element,
+                     embed_hamiltonian, gauge_act, general_solution_sample,
+                     hochschild_cohomology, homotopy_check, lift,
                      mc_residual, one_dim_space, two_dim_space)
 from necklie.bialgebra import IdentityResult
 from necklie.cecomplex import normalize_tensor, variant_complaint
@@ -167,8 +169,8 @@ def test_exp_chain_tight_equals_roomy_truncated(sp1, sp2):
                 wide = exp_chain(x, roomy)
                 largest = max(largest, len(wide.terms))
                 for tight in tights:
-                    cut = CEChainElement(space, variant, tight, wide.terms,
-                                         already_canonical=True)
+                    cut = CEChainElement(space, variant,
+                                         tight).replace_terms(wide.terms)
                     cuts += len(cut.terms) < len(wide.terms)
                     assert exp_chain(x, tight) == cut, (space.names,
                                                         variant, tight)
@@ -287,6 +289,52 @@ def test_chain_memo_keys_carry_no_coefficients():
             assert entry is None or isinstance(entry, tuple)
 
 
+class _CountingMemo(dict):
+    """A memo that records every store over a present key and counts, per
+    tag, the lookups that find a stored None."""
+
+    def __init__(self):
+        super().__init__()
+        self.restored = []
+        self.none_hits = Counter()
+
+    def __setitem__(self, key, value):
+        if key in self:
+            self.restored.append(key)
+        super().__setitem__(key, value)
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        if found is None and key in self:
+            self.none_hits[key[0]] += 1
+        return found
+
+
+def _counting_space(make):
+    space = make()
+    object.__setattr__(space, "memo", _CountingMemo())
+    return space
+
+
+def test_each_memo_key_is_stored_once():
+    """Orbit jobs, lifts and Hochschild cohomology, each run twice with
+    new coefficients, store no memo key twice, stored Nones included: a
+    zero word and a vanishing chain product are hits once stored."""
+    orbit = _counting_space(two_dim_space)
+    _orbit_job(orbit, (F(2), F(-1)), (F(1), F(1, 3)))
+    _orbit_job(orbit, (F(-7, 2), F(5)), (F(-3), F(2, 9)))
+    words = _counting_space(one_dim_space)
+    for coeffs in ((F(1), F(2, 3)), (F(-5, 7), F(11, 3))):
+        lift(Hamiltonian(words, {(0, 0, 0): coeffs[0], (0,) * 5: coeffs[1]}),
+             2, "lgv")
+        hochschild_cohomology(Hamiltonian(words, {(0, 0, 0): coeffs[1]}),
+                              WordSliceSpec(max_length=7))
+    for space in (orbit, words):
+        assert space.memo and not space.memo.restored
+    assert orbit.memo.none_hits["chain_product"]
+    assert words.memo.none_hits["canonical"]
+
+
 def test_a_chain_miss_calls_no_traced_function(monkeypatch):
     """A cold chain product, outer differential, rate and pool reach the
     tensor and word layers through their private bodies only; the one
@@ -311,15 +359,13 @@ def test_a_chain_miss_calls_no_traced_function(monkeypatch):
     prof = TruncationProfile(L=4, K=3, G=2, N=2)
     pool = _chain_pool(space, "lgv", prof, 40)
     assert len(pool) == 40 and _chain_pool(space, "lgv", prof, 40) is pool
-    c = CEChainElement(space, "lgv", prof,
-                       {key: F(i + 1) for i, key in enumerate(pool)},
-                       already_canonical=True)
+    c = CEChainElement(space, "lgv", prof).replace_terms(
+        {key: F(i + 1) for i, key in enumerate(pool)})
     assert not chain_mul(c, c).is_zero()
     assert not chain_delta(c).is_zero()
     assert not seen
-    y = LambdaElement(space, "lgv", prof, {(0, 0, ((X, X, XI),)): F(1),
-                                           (0, 1, ((XI,),)): F(2)},
-                      already_canonical=True)
+    y = LambdaElement(space, "lgv", prof).replace_terms(
+        {(0, 0, ((X, X, XI),)): F(1), (0, 1, ((XI,),)): F(2)})
     assert not gauge_rate(y, c).is_zero()
     assert seen == [y.terms]
 

@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from necklie import (Hamiltonian, UsageError, canonical_words,
-                     normalize_word, two_dim_space)
+from necklie import (Hamiltonian, SymplecticSpace, UsageError,
+                     canonical_words, normalize_word, two_dim_space)
 from necklie.words import rotations
 
 from oracles import canonical_by_swaps, linear_rotations, necklace_classes
@@ -109,6 +109,18 @@ def test_hamiltonian_add_and_scale(sp1):
     assert s.terms == {(0,): Fraction(-1)}
     with pytest.raises(UsageError):
         a + Hamiltonian(two_dim_space(), {})
+
+
+def test_space_takes_exact_form_entries_only():
+    """A float pairing would make every bracket coefficient inexact, so
+    form entries pass the coefficient rule: a float raises, and an int
+    is stored as a Fraction."""
+    with pytest.raises(UsageError, match="0.1"):
+        SymplecticSpace(("t",), (1,), ((0.1,),), 0)
+    space = SymplecticSpace(("t",), (1,), ((2,),), 0)
+    assert type(space.form[0][0]) is Fraction
+    assert space.omega == ((Fraction(1, 2),),)
+    assert space == SymplecticSpace(("t",), (1,), ((Fraction(2),),), 0)
 
 
 def test_hamiltonian_refuses_float_coefficients(sp2):
