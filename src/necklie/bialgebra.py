@@ -27,12 +27,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
 
 from .errors import UsageError
 from .space import SymplecticSpace, memoized
-from .words import (Hamiltonian, _canonical, accumulate, canonical_words,
-                    checked_word, rotations)
+from .words import (_ZERO, Hamiltonian, _canonical, accumulate,
+                    canonical_words, checked_word, rotations, scaled_sum)
 
 
 def bracket_raw(space: SymplecticSpace, A, B):
@@ -72,17 +73,18 @@ def _bracket(space: SymplecticSpace, A, B):
 
 
 def bracket_combo(space: SymplecticSpace, a: dict, b: dict):
-    """Bilinear extension of bracket_raw to word->coeff dictionaries."""
-    out: dict = {}
-    scalar = Fraction(0)
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            terms, s = bracket_raw(space, wa, wb)
-            c = ca * cb
-            for w, cw in terms.items():
-                accumulate(out, w, c * cw)
-            scalar += c * s
-    return out, scalar
+    """Bilinear extension of bracket_raw to word->coeff dictionaries.  The
+    length-0 output is summed under the empty word, then split off as the
+    scalar."""
+    out = scaled_sum(
+        (ca.numerator * cb.numerator, ca.denominator * cb.denominator,
+         _with_scalar(*bracket_raw(space, wa, wb)))
+        for wa, ca in a.items() for wb, cb in b.items())
+    return out, out.pop((), _ZERO)
+
+
+def _with_scalar(terms, scalar):
+    return chain(terms.items(), (((), scalar),))
 
 
 def cobracket_raw(space: SymplecticSpace, W):
@@ -121,11 +123,9 @@ def _cobracket(space: SymplecticSpace, W):
 
 
 def cobracket_combo(space: SymplecticSpace, a: dict):
-    out: dict = {}
-    for w, c in a.items():
-        for pair, cc in cobracket_raw(space, w).items():
-            accumulate(out, pair, c * cc)
-    return out
+    return scaled_sum((c.numerator, c.denominator,
+                       cobracket_raw(space, w).items())
+                      for w, c in a.items())
 
 
 @dataclass

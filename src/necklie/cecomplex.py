@@ -27,9 +27,10 @@ This module owns the graded-symmetric rules that the chain level
 kills a repeated odd factor, the signed unshuffle, and the truncated
 combination class both element kinds derive from.
 
-The raw operations are bilinear sums over their input keys.
-``raw_bracket`` sums one memoized result per key pair (``_key_bracket``)
-and ``raw_differential`` one memoized full differential per key
+The raw operations are bilinear sums over their input keys, summed by
+``words.scaled_sum``, the one owner of scaled sums.  ``raw_bracket`` sums
+one memoized result per key pair (``_key_bracket``) and
+``raw_differential`` one memoized full differential per key
 (``_key_differential``), dropping the nu-terms on read when asked for the
 nu-free part; both are memoized through ``space.memoized``, which states
 the memo rule, and every public function returns a fresh dict.  Each
@@ -62,7 +63,7 @@ from types import MappingProxyType
 from .bialgebra import _bracket, _cobracket
 from .errors import UsageError
 from .space import SymplecticSpace, exact_fraction, memoized
-from .words import _canonical, accumulate, checked_word
+from .words import _canonical, accumulate, checked_word, scaled_sum
 
 VARIANTS = ("lgv", "lg", "hq2")
 
@@ -155,11 +156,6 @@ def _tensor(space: SymplecticSpace, g: int, n: int, words):
 # the public functions validate every key of their input once, then sum.
 
 
-def _add_scaled(out: dict, coeff, terms) -> None:
-    for key, c in terms.items():
-        accumulate(out, key, coeff * c)
-
-
 def _key_ce_delta(space: SymplecticSpace, key) -> dict:
     """Pairwise bracket contraction of one valid key, without gamma."""
     g, n, ws = key
@@ -219,7 +215,8 @@ def _key_differential(space: SymplecticSpace, key):
     """Memoized d = gamma*delta + Delta of one valid key, read-only."""
     out = {(g + 1, n, ws): c
            for (g, n, ws), c in _key_ce_delta(space, key).items()}
-    _add_scaled(out, 1, _key_cobracket(space, key))
+    # the cobracket keeps gamma, so its keys are not those of gamma*delta
+    out.update(_key_cobracket(space, key))
     return MappingProxyType(out)
 
 
@@ -257,44 +254,43 @@ def _key_bracket(space: SymplecticSpace, k1, k2):
 def raw_ce_delta(space: SymplecticSpace, terms: dict) -> dict:
     """Pairwise bracket contraction; does not multiply by gamma."""
     _check_keys(space, terms)
-    out: dict = {}
-    for key, c in terms.items():
-        _add_scaled(out, c, _key_ce_delta(space, key))
-    return out
+    return scaled_sum(
+        (c.numerator, c.denominator, _key_ce_delta(space, key).items())
+        for key, c in terms.items())
 
 
 def raw_extend_cobracket(space: SymplecticSpace, terms: dict) -> dict:
     """Leibniz extension of the cobracket; empty sides become nu factors."""
     _check_keys(space, terms)
-    out: dict = {}
-    for key, c in terms.items():
-        _add_scaled(out, c, _key_cobracket(space, key))
-    return out
+    return scaled_sum(
+        (c.numerator, c.denominator, _key_cobracket(space, key).items())
+        for key, c in terms.items())
+
+
+def _nu_free(item) -> bool:
+    return not item[0][1]
 
 
 def raw_differential(space: SymplecticSpace, terms: dict,
                      with_nu: bool = True) -> dict:
     """d = gamma*delta + Delta; with_nu=False keeps only the nu-free part."""
     _check_keys(space, terms)
-    out: dict = {}
-    for key, c in terms.items():
-        for k, v in _key_differential(space, key).items():
-            if with_nu or not k[1]:
-                accumulate(out, k, c * v)
-    return out
+    return scaled_sum(
+        (c.numerator, c.denominator,
+         _key_differential(space, key).items() if with_nu
+         else filter(_nu_free, _key_differential(space, key).items()))
+        for key, c in terms.items())
 
 
 def raw_bracket(space: SymplecticSpace, x: dict, y: dict) -> dict:
     """Leibniz bi-extension of the word bracket to tensors."""
     _check_keys(space, x)
     _check_keys(space, y)
-    out: dict = {}
-    for k1, c1 in x.items():
-        for k2, c2 in y.items():
-            pair = _key_bracket(space, k1, k2)
-            if pair:
-                _add_scaled(out, c1 * c2, pair)
-    return out
+    return scaled_sum(
+        (c1.numerator * c2.numerator, c1.denominator * c2.denominator,
+         pair.items())
+        for k1, c1 in x.items() for k2, c2 in y.items()
+        if (pair := _key_bracket(space, k1, k2)))
 
 
 def unshuffle(terms: dict, parity) -> dict:

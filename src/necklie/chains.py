@@ -31,24 +31,29 @@ through ``space.memoized`` (which states the memo rule).  ``chain_mul``
 reads the product of each key pair that passes the caps from
 ``_key_product``: the sorted key with its sign, the nu-crossing sign
 folded in, or None when it vanishes.  ``chain_delta`` sums the full outer
-differential of each key from ``_key_delta``.  Results are uncut; the
-caller's ``replace_terms`` applies its own profile.  A miss goes through
-the tensor layer's untraced bodies (``cecomplex._key_differential`` and
-``_key_bracket``) and ``sort_blocks`` only.
+differential of each key from ``_key_delta``.  Both sums go through
+``words.scaled_sum``, the one owner of scaled sums: a pair of the product
+enters as its sign times the numerators of its two coefficients over the
+product of their denominators, so no Fraction is built per pair.
+Results are uncut; the caller's ``replace_terms`` applies its own
+profile.  A miss goes through the tensor layer's untraced bodies
+(``cecomplex._key_differential`` and ``_key_bracket``) and
+``sort_blocks`` only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
 
 from .cecomplex import (LambdaElement, TruncatedCombination,
-                        TruncationProfile, _add_scaled, _key_bracket,
-                        _key_differential, koszul_sort, normalize_tensor,
-                        tensor_parity, unshuffle)
+                        TruncationProfile, _key_bracket, _key_differential,
+                        koszul_sort, normalize_tensor, tensor_parity,
+                        unshuffle)
 from .errors import UsageError
 from .space import SymplecticSpace, memoized
-from .words import accumulate
+from .words import accumulate, scaled_sum
 
 
 def block_parity(space: SymplecticSpace, block) -> int:
@@ -62,7 +67,7 @@ def _block_key(block):
 def chain_order(key) -> int:
     """Outer filtration order 2G + N + sum over blocks of (factors - 1)."""
     G, N, blocks = key
-    return 2 * G + N + sum(len(b) - 1 for b in blocks)
+    return 2 * G + N + sum(map(len, blocks)) - len(blocks)
 
 
 def chain_parity(space: SymplecticSpace, key) -> int:
@@ -115,10 +120,11 @@ class CEChainElement(TruncatedCombination):
         return None
 
     def _keeps(self, key) -> bool:
-        G, N, blocks = key
-        return (chain_order(key) <= self.profile.P
-                and len(blocks) <= self.profile.K
-                and all(len(w) <= self.profile.L for b in blocks for w in b))
+        blocks = key[2]
+        prof = self.profile
+        return (chain_order(key) <= prof.P and len(blocks) <= prof.K
+                and max(map(len, chain.from_iterable(blocks)),
+                        default=0) <= prof.L)
 
     def capped(self, max_order: int, max_blocks: int) -> "CEChainElement":
         return self._admitted(
@@ -164,19 +170,21 @@ def chain_mul(a: CEChainElement, b: CEChainElement) -> CEChainElement:
     a._check_compatible(b)
     space = a.space
     max_order, max_blocks = a.profile.P, a.profile.K
-    right = [(key, chain_order(key), len(key[2]), c2)
-             for key, c2 in b.terms.items()]
-    out: dict = {}
-    for key1, c1 in a.terms.items():
-        room = max_order - chain_order(key1)
-        slots = max_blocks - len(key1[2])
-        for key2, order2, count2, c2 in right:
-            if order2 > room or count2 > slots:
-                continue
-            found = _key_product(space, key1, key2)
-            if found is not None:
-                accumulate(out, found[0],
-                           (c1 if found[1] > 0 else -c1) * c2)
+    right = [(key, chain_order(key), len(key[2]), c.numerator, c.denominator)
+             for key, c in b.terms.items()]
+
+    def pairs():
+        for key1, c1 in a.terms.items():
+            room = max_order - chain_order(key1)
+            slots = max_blocks - len(key1[2])
+            n1, d1 = c1.numerator, c1.denominator
+            for key2, order2, count2, n2, d2 in right:
+                if order2 > room or count2 > slots:
+                    continue
+                found = _key_product(space, key1, key2)
+                if found is not None:
+                    yield n1 * n2, d1 * d2, (found,)
+    out = scaled_sum(pairs())
     if b.profile.L <= a.profile.L:
         return a._admitted(out)
     return a.replace_terms(out)
@@ -221,11 +229,10 @@ def chain_delta(x: CEChainElement) -> CEChainElement:
     """Outer differential: d on one block plus bracket contraction of pairs."""
     if x.variant == "hq2":
         return x.replace_terms({})
-    with_nu = x.variant == "lgv"
-    out: dict = {}
-    for key, c in x.terms.items():
-        _add_scaled(out, c, _key_delta(x.space, with_nu, key))
-    return x.replace_terms(out)
+    space, with_nu = x.space, x.variant == "lgv"
+    return x.replace_terms(scaled_sum(
+        (c.numerator, c.denominator, _key_delta(space, with_nu, key).items())
+        for key, c in x.terms.items()))
 
 
 def bracket_into_block(out: dict, space: SymplecticSpace, G: int, N: int,

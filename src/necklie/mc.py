@@ -26,7 +26,8 @@ the outer differential.
 
 The bracket part of the rate is a sum of one memoized result per pair of
 a tensor key of y and a chain key (``_key_rate``); ``embed(dy) . c`` goes
-through ``chain_mul`` and its own results.  The chain-key pool of
+through ``chain_mul``, and its terms enter the same ``words.scaled_sum``
+(the one owner of scaled sums) as the bracket part.  The chain-key pool of
 ``homotopy_check`` (``_chain_pool``) is memoized too, both through
 ``space.memoized``, which states the memo rule.
 
@@ -40,19 +41,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from types import MappingProxyType
 
 from .bialgebra import IdentityResult
-from .cecomplex import (LambdaElement, TruncationProfile, _add_scaled,
-                        _tensor, lambda_bracket, lambda_differential,
+from .cecomplex import (LambdaElement, TruncationProfile, _tensor,
+                        lambda_bracket, lambda_differential,
                         unbounded_profile)
 from .chains import (CEChainElement, block_parity, bracket_into_block,
                      chain_delta, chain_mul, chain_order, chain_unit,
                      embed_element, sort_blocks)
 from .errors import PreconditionError, UsageError
 from .space import SymplecticSpace, memoized
-from .words import _canonical_words
+from .words import _canonical_words, scaled_sum
 
 GAUGE_PARITY = 1          # flow directions are odd for both pairing parities
 _SERIES_LIMIT = 60
@@ -178,11 +179,14 @@ def _rate(y: LambdaElement, dy: CEChainElement,
     """Body of gauge_rate, given dy = embed(d y) in c's profile."""
     space = c.space
     with_nu = c.variant == "lgv"
-    out = dict(chain_mul(dy, c).terms)
-    for ckey, cc in c.terms.items():
-        for ykey, cy in y.terms.items():
-            _add_scaled(out, cc * cy, _key_rate(space, with_nu, ykey, ckey))
-    return c.replace_terms(out)
+    product = chain_mul(dy, c).terms.items()
+    params = [(ykey, cy.numerator, cy.denominator)
+              for ykey, cy in y.terms.items()]
+    return c.replace_terms(scaled_sum(chain(
+        ((1, 1, product),),
+        ((cc.numerator * yn, cc.denominator * yd,
+          _key_rate(space, with_nu, ykey, ckey).items())
+         for ckey, cc in c.terms.items() for ykey, yn, yd in params))))
 
 
 def gauge_rate(y: LambdaElement, c: CEChainElement) -> CEChainElement:

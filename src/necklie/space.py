@@ -23,13 +23,22 @@ from .errors import UsageError
 
 
 def exact_fraction(value) -> Fraction:
-    """A user coefficient as a Fraction, or UsageError naming a float: a
-    binary float is not the number it was typed as (Fraction(0.1) is
-    3602879701896397/36028797018963968), so it never enters exact data."""
+    """A user coefficient as a Fraction, or UsageError naming the value: a
+    float, because a binary float is not the number it was typed as
+    (Fraction(0.1) is 3602879701896397/36028797018963968), so it never
+    enters exact data, and anything Fraction does not read as a rational,
+    such as "abc", None or [1]."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise UsageError(f"coefficient {value!r} is a float; give an int, "
                          f"a Fraction or a string such as '1/10'")
-    return value if type(value) is Fraction else Fraction(value)
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"coefficient {value!r} is not a rational number; "
+                         f"give an int, a Fraction or a string such as "
+                         f"'1/10'") from exc
 
 
 def parse_rational(text) -> Fraction:

@@ -13,6 +13,13 @@ stored; for a single odd generator this kills exactly the even lengths.
 rotation rule and ``normalize_word`` is its validating public boundary;
 ``_canonical_words`` enumerates through it, and ``canonical_words`` is its
 public name.
+
+Rational sums have two owners here.  ``accumulate`` adds one Fraction to
+one key and drops the key when it cancels; raw input and the merge of two
+elements go through it.  ``scaled_sum`` is the one owner of scaled sums,
+coefficient times memo entry or times product sign, in every layer: it
+sums int numerators over a common denominator and builds one Fraction
+per surviving key at the end.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from .errors import UsageError
 from .space import SymplecticSpace, exact_fraction, memoized
@@ -83,6 +91,32 @@ def accumulate(terms: dict, key, coeff: Fraction) -> None:
         terms.pop(key, None)
     else:
         terms[key] = new
+
+
+def scaled_sum(scaled) -> dict:
+    """The sum of num/den * value over every (key, value) of items, for
+    each (num, den, items) of scaled, as a fresh dict of normalized
+    nonzero Fractions with keys in order of first appearance.
+
+    num and den are ints, den > 0, and each value is an int or a
+    Fraction: items is typically a memo entry's ``items()``.  The sum runs
+    on int numerators over one common denominator, widened to the lcm of
+    the denominators met, so no Fraction is built until each surviving
+    key gets its one at the end.
+    """
+    nums: dict = {}
+    common = 1
+    for num, den, items in scaled:
+        for key, value in items:
+            d = den * value.denominator
+            if common % d:
+                grow = d // gcd(common, d)
+                common *= grow
+                for k in nums:
+                    nums[k] *= grow
+            nums[key] = (nums.get(key, 0)
+                         + num * value.numerator * (common // d))
+    return {k: Fraction(n, common) for k, n in nums.items() if n}
 
 
 def _canonical_words(space: SymplecticSpace, max_length: int,

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -16,6 +17,7 @@ from necklie.cecomplex import (definition_order, filtration_order,
 from necklie.words import canonical_words
 from oracles import (necklace_classes, omega_matrix, oracle_tensor_bracket,
                      oracle_tensor_differential, oracle_tensor_key)
+from test_bialgebra import _halved_one_dim_space
 
 F = Fraction
 
@@ -396,11 +398,20 @@ def _three_generator_space():
                            ((o, z, z), (z, z, o), (z, -o, z)), 0)
 
 
+def _scaled_two_dim_space():
+    """Like two_dim_space, but <x,xi> = 3/2 = -<xi,x>: the dual pairing
+    is 2/3, so memoized brackets and differentials hold thirds."""
+    z, c = F(0), F(3, 2)
+    return SymplecticSpace(("x", "xi"), (0, 1), ((z, c), (-c, z)), 1)
+
+
 # on one generator the bracket is zero and the cobracket always makes a
 # nu, so only the full differential takes nonzero values there
 @pytest.mark.parametrize("make, max_len, bracket_nonzero",
                          [(one_dim_space, 5, False), (two_dim_space, 3, True),
-                          (_three_generator_space, 3, True)])
+                          (_three_generator_space, 3, True),
+                          (_halved_one_dim_space, 5, False),
+                          (_scaled_two_dim_space, 3, True)])
 def test_tensor_operations_cold_and_warm_match_the_oracle(make, max_len,
                                                           bracket_nonzero):
     """raw_bracket and raw_differential against a reference that caches
@@ -480,6 +491,23 @@ def test_canonical_construction_path(sp1):
     with pytest.raises(UsageError):
         LambdaElement(sp1, "lg", prof).replace_terms({inside: F(1)})
     assert x.replace_terms({inside: F(0)}).is_zero()
+
+
+@pytest.mark.parametrize("value", ["abc", None, [1], "1/0"], ids=repr)
+def test_elements_refuse_non_rational_coefficients(sp2, value):
+    """The raw and canonical construction paths and scale refuse a
+    coefficient that is not a rational with UsageError naming it, for
+    complex and chain elements alike."""
+    prof = TruncationProfile(L=3, K=2, G=1, N=1)
+    named = re.escape(repr(value))
+    for cls, key in ((LambdaElement, (0, 0, ((0, 0),))),
+                     (CEChainElement, (0, 0, (((0, 0),),)))):
+        with pytest.raises(UsageError, match=named):
+            cls(sp2, "lgv", prof, {key: value})
+        with pytest.raises(UsageError, match=named):
+            cls(sp2, "lgv", prof).replace_terms({key: value})
+        with pytest.raises(UsageError, match=named):
+            cls(sp2, "lgv", prof, {key: 1}).scale(value)
 
 
 def test_elements_refuse_float_coefficients(sp1, sp2):

@@ -15,7 +15,8 @@ from necklie.words import accumulate, canonical_words
 from oracles import (necklace_classes, omega_matrix, oracle_chain_delta,
                      oracle_chain_key, oracle_chain_mul, oracle_gauge_rate,
                      oracle_tensor_key)
-from test_cecomplex import _three_generator_space
+from test_bialgebra import _halved_one_dim_space
+from test_cecomplex import _scaled_two_dim_space, _three_generator_space
 
 F = Fraction
 
@@ -271,7 +272,8 @@ def _random_parameter_terms(rng, space, words, variant):
 
 
 @pytest.mark.parametrize("make, max_len", [
-    (one_dim_space, 5), (two_dim_space, 3), (_three_generator_space, 3)])
+    (one_dim_space, 5), (two_dim_space, 3), (_three_generator_space, 3),
+    (_halved_one_dim_space, 5), (_scaled_two_dim_space, 3)])
 def test_chain_operations_cold_and_warm_match_the_oracles(make, max_len):
     """chain_mul, chain_delta and gauge_rate against references that cache
     nothing, first on a fresh space (misses), then again (hits): the

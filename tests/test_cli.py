@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -214,3 +215,62 @@ def test_consecutive_requests_share_no_state(capsys):
     assert code == 0 and json.loads(out)["seed"] == 5
     code, out, _ = run(capsys, *axioms)
     assert code == 0 and json.loads(out)["seed"] == 2718
+
+
+# SHA-256 digests of the exact --format json output of ch and gauge on
+# both shipped spaces and both complex variants; exact sums must keep every
+# byte.  On the two-generator space, ch takes the flowed element that the
+# gauge request before it printed, and its class spans up to three blocks.
+_GAUGE_CH_GOLDEN = [
+    (("ch", "1 w[t,t,t] + 2/3 w[t,t,t,t,t] - 1/2 g^1 w[t,t,t]",
+      "--variant", "lg", "--trunc", "5,3,1,1"), 0,
+     "ecaf8346be347e19f0bde2096e3d6cad2efad9cfeca1a2626a3d496f39da82bf"),
+    (("ch", "1 w[t,t,t]"), 1,
+     "ea083ee449abd97caf46f9cada4100b2f7acf9d1141589fc065a8826b3d5b5aa"),
+    (("gauge", "1/2 w[t,t,t]", "1 w[t,t,t] + 2/3 w[t,t,t,t,t]",
+      "--trunc", "5,3,1,1"), 0,
+     "5f73027a2f9efef393911f5daee4e8e95bafa43025c90230de4b5ec75106ded5"),
+    (("gauge", "1/2 w[t,t,t] + 1/3 g^1 w[t,t,t,t,t]",
+      "1 w[t,t,t] + 2/3 w[t,t,t,t,t]", "--trunc", "5,3,2,1",
+      "--variant", "lg"), 0,
+     "6c39fafac222e01d91944b4d6dd6486eef1ac221f65568d4ef16395583f10742"),
+]
+_FLOW_THEN_CH_GOLDEN = [
+    ("lgv", "1/3 w[x,x,xi] + 1/2 v^1 w[xi]",
+     "1508c1b6cadbb7913ae08cdb402ee7b51bf10266a067b967637d5e66c274d2ea",
+     "331e065592451612db92f97bcb2a32d3ce9ec2131b14e489623714ebdcda1a29"),
+    ("lg", "1/3 w[x,x,xi] + 1/2 g^1 w[xi]",
+     "2a96cf93e9a82128670abfe52931b3a5d4443ae63068af37f85e0a107c9200ce",
+     "9b50758877bd7783115c58b45b2c05c012cd65c5ab27370451b850cb1b61fd66"),
+]
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, code, digest", _GAUGE_CH_GOLDEN,
+                         ids=["ch-1d-lg", "ch-1d-lgv-not-flat", "gauge-1d-lgv",
+                              "gauge-1d-lg"])
+def test_one_generator_ch_and_gauge_json_is_pinned(capsys, argv, code,
+                                                    digest):
+    got, out, _ = run(capsys, *argv, "--format", "json")
+    assert got == code
+    assert _digest(out) == digest, out
+
+
+@pytest.mark.parametrize("variant, param, gauge_digest, ch_digest",
+                         _FLOW_THEN_CH_GOLDEN, ids=["lgv", "lg"])
+def test_two_generator_gauge_then_ch_json_is_pinned(capsys, variant, param,
+                                                     gauge_digest, ch_digest):
+    code, out, _ = run(capsys, "gauge", param, "2 w[x,x] - 1 g^1 w[x,x]",
+                       "--space", SPACE_2D, "--trunc", "5,3,2,2",
+                       "--variant", variant, "--format", "json")
+    assert code == 0 and _digest(out) == gauge_digest, out
+    flowed = json.loads(out)["result"]["expr"]
+    code, out, _ = run(capsys, "ch", flowed, "--space", SPACE_2D,
+                       "--trunc", "4,3,1,1", "--variant", variant,
+                       "--format", "json")
+    assert code == 0 and _digest(out) == ch_digest
+    payload = json.loads(out)
+    assert max(len(t["blocks"]) for t in payload["result"]["terms"]) == 3

@@ -1,12 +1,14 @@
+import re
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from necklie import (Hamiltonian, SymplecticSpace, UsageError,
                      canonical_words, normalize_word, two_dim_space)
-from necklie.words import rotations
+from necklie.words import rotations, scaled_sum
 
 from oracles import canonical_by_swaps, linear_rotations, necklace_classes
 
@@ -121,6 +123,48 @@ def test_space_takes_exact_form_entries_only():
     assert type(space.form[0][0]) is Fraction
     assert space.omega == ((Fraction(1, 2),),)
     assert space == SymplecticSpace(("t",), (1,), ((Fraction(2),),), 0)
+
+
+def test_scaled_sum_cancels_across_denominators_and_normalizes():
+    """Each (num, den, items) adds num/den times every value of items; a
+    key whose terms of different denominators cancel (1/2 + 1/3 - 5/6)
+    is dropped, and each kept key holds one normalized nonzero Fraction,
+    in order of first appearance."""
+    got = scaled_sum([
+        (1, 2, {"a": 1, "b": Fraction(3, 4)}.items()),
+        (1, 3, [("a", 1), ("c", Fraction(-1, 5))]),
+        (-5, 6, [("a", 1)]),
+        (2, 1, [("b", Fraction(1, 8)), ("c", 1), ("d", 0)]),
+        (1, 4, [("e", 2)]),
+    ])
+    assert got == {"b": Fraction(5, 8), "c": Fraction(29, 15),
+                   "e": Fraction(1, 2)}
+    assert list(got) == ["b", "c", "e"]
+    for value in got.values():
+        assert type(value) is Fraction and value != 0
+        assert gcd(value.numerator, value.denominator) == 1
+    assert (got["e"].numerator, got["e"].denominator) == (1, 2)
+    assert scaled_sum([]) == {}
+    assert scaled_sum(iter([(3, 1, []), (0, 1, [("a", 1)])])) == {}
+
+
+@pytest.mark.parametrize("value", ["abc", None, [1], "1/0"], ids=repr)
+def test_non_rational_input_raises_usage_error_naming_it(sp2, value):
+    """Hamiltonian terms, scalar and scale and the form entries of a space
+    go through one coefficient rule, which refuses what is not a rational
+    with UsageError and names it, instead of a bare ValueError, TypeError
+    or ZeroDivisionError."""
+    named = re.escape(repr(value))
+    with pytest.raises(UsageError, match=named):
+        Hamiltonian(sp2, {(0, 0): value})
+    with pytest.raises(UsageError, match=named):
+        Hamiltonian(sp2, {(0, 0): 1}, scalar=value)
+    with pytest.raises(UsageError, match=named):
+        Hamiltonian(sp2, {(0, 0): 1}).scale(value)
+    with pytest.raises(UsageError, match=named):
+        SymplecticSpace(("t",), (1,), ((value,),), 0)
+    with pytest.raises(UsageError, match=named):
+        SymplecticSpace(("x", "xi"), (0, 1), ((0, value), (-1, 0)), 1)
 
 
 def test_hamiltonian_refuses_float_coefficients(sp2):
